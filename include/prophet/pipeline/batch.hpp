@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "prophet/estimator/backend.hpp"
@@ -143,6 +144,10 @@ struct BatchStats {
   ///@}
 };
 
+/// Receives streamed report text (BatchReport::write_summary/write_csv),
+/// one buffer's worth at a time, in order.
+using TextSink = std::function<void(std::string_view)>;
+
 /// The collected outcome of one BatchRunner::run().
 struct BatchReport {
   /// Per-scenario outcomes, ordered by job id.
@@ -180,11 +185,20 @@ struct BatchReport {
   [[nodiscard]] obs::Registry derived_metrics() const;
 
   /// Human-readable table: one line per scenario plus the aggregate
-  /// (read from `metrics`).
+  /// (read from `metrics`).  Seconds print as `%.6f`.
   [[nodiscard]] std::string summary() const;
 
-  /// Machine-readable CSV (header + one row per scenario).
+  /// Streams summary() through one fixed buffer into `sink`, so the
+  /// whole document is never held in memory.
+  void write_summary(const TextSink& sink) const;
+
+  /// Machine-readable CSV (header + one row per scenario).  Doubles are
+  /// written in shortest round-trip form: each parses back to the same
+  /// bits, so diffs of the deterministic columns compare bits.
   [[nodiscard]] std::string to_csv() const;
+
+  /// Streams to_csv() through one fixed buffer into `sink`.
+  void write_csv(const TextSink& sink) const;
 };
 
 /// One progress heartbeat of a running batch (BatchOptions::on_progress).

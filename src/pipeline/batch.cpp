@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <concepts>
 #include <condition_variable>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -13,6 +16,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -72,6 +76,117 @@ void fold_codegen(obs::Registry* metrics,
   if (handle->cache_hit()) {
     metrics->counter("codegen.cache_hits").add(1);
   }
+}
+
+/// The one report formatter behind summary() and to_csv(): text is
+/// appended into a fixed buffer that goes to the sink whenever the next
+/// piece might not fit, numbers go through std::to_chars, and nothing
+/// allocates per field.
+class TextWriter {
+ public:
+  /// How doubles print: shortest round-trip (CSV) or `%.6f` (summary).
+  enum class Doubles { kShortest, kFixed6 };
+
+  /// An RFC 4180 field: a value containing a comma, quote or line break
+  /// is wrapped in quotes with embedded quotes doubled; clean values
+  /// pass through byte-identical.
+  struct CsvField {
+    std::string_view text;
+  };
+
+  TextWriter(const TextSink& sink, Doubles doubles)
+      : sink_(sink), doubles_(doubles), buffer_(kBufferBytes) {}
+
+  TextWriter& operator<<(std::string_view text) {
+    while (!text.empty()) {
+      if (used_ == kBufferBytes) {
+        flush();
+      }
+      const std::size_t n = std::min(text.size(), kBufferBytes - used_);
+      std::memcpy(buffer_.data() + used_, text.data(), n);
+      used_ += n;
+      text.remove_prefix(n);
+    }
+    return *this;
+  }
+
+  TextWriter& operator<<(char c) {
+    if (used_ == kBufferBytes) {
+      flush();
+    }
+    buffer_[used_++] = c;
+    return *this;
+  }
+
+  template <std::integral T>
+  TextWriter& operator<<(T value) {
+    reserve(kMaxNumberChars);
+    used_ = static_cast<std::size_t>(
+        std::to_chars(cursor(), buffer_end(), value).ptr - buffer_.data());
+    return *this;
+  }
+
+  TextWriter& operator<<(double value) {
+    reserve(kMaxNumberChars);
+    const auto result =
+        doubles_ == Doubles::kShortest
+            ? std::to_chars(cursor(), buffer_end(), value)
+            : std::to_chars(cursor(), buffer_end(), value,
+                            std::chars_format::fixed, 6);
+    used_ = static_cast<std::size_t>(result.ptr - buffer_.data());
+    return *this;
+  }
+
+  TextWriter& operator<<(CsvField field) {
+    std::string_view text = field.text;
+    if (text.find_first_of(",\"\r\n") == std::string_view::npos) {
+      return *this << text;
+    }
+    *this << '"';
+    for (std::size_t quote = text.find('"');
+         quote != std::string_view::npos; quote = text.find('"')) {
+      *this << text.substr(0, quote + 1) << '"';
+      text.remove_prefix(quote + 1);
+    }
+    return *this << text << '"';
+  }
+
+  /// Hands the buffered text to the sink.
+  void flush() {
+    if (used_ > 0) {
+      sink_(std::string_view(buffer_.data(), used_));
+      used_ = 0;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kBufferBytes = 64 * 1024;
+  // The longest number: `%.6f` of -DBL_MAX is a sign, 309 integer
+  // digits, the point and 6 decimals.
+  static constexpr std::size_t kMaxNumberChars = 320;
+
+  void reserve(std::size_t chars) {
+    if (kBufferBytes - used_ < chars) {
+      flush();
+    }
+  }
+  char* cursor() { return buffer_.data() + used_; }
+  char* buffer_end() { return buffer_.data() + kBufferBytes; }
+
+  const TextSink& sink_;
+  Doubles doubles_;
+  std::vector<char> buffer_;
+  std::size_t used_ = 0;
+};
+
+/// A sink that collects the whole document (summary(), to_csv()) into
+/// `text`, reserved up front for `rows` rows of about `row_bytes` each:
+/// that spares the copies of repeated growth, and reserved pages that
+/// are never written cost no memory.
+TextSink append_to(std::string* text, std::size_t rows,
+                   std::size_t row_bytes) {
+  text->reserve(rows * row_bytes);
+  return [text](std::string_view chunk) { text->append(chunk); };
 }
 
 }  // namespace
@@ -176,6 +291,12 @@ obs::Registry BatchReport::derived_metrics() const {
 }
 
 std::string BatchReport::summary() const {
+  std::string text;
+  write_summary(append_to(&text, results.size() + 2, 96));
+  return text;
+}
+
+void BatchReport::write_summary(const TextSink& sink) const {
   // The aggregate lines read from the metric registry — the same cells
   // `--metrics` exports — so the printed counts and the JSON document
   // cannot drift apart.  Hand-built reports (tests) that never ran run()
@@ -186,9 +307,7 @@ std::string BatchReport::summary() const {
     local = derived_metrics();
     m = &local;
   }
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out.precision(6);
+  TextWriter out(sink, TextWriter::Doubles::kFixed6);
   out << "scenario sweep: " << m->counter_value("batch.jobs") << " job(s), "
       << static_cast<int>(m->gauge_value("batch.threads")) << " thread(s), "
       << m->timer_seconds("batch.wall_seconds") << " s wall ("
@@ -257,12 +376,18 @@ std::string BatchReport::summary() const {
         << m->gauge_value("batch.rel_error_max");
   }
   out << '\n';
-  return out.str();
+  out.flush();
 }
 
 std::string BatchReport::to_csv() const {
-  std::ostringstream out;
-  out.precision(12);
+  std::string text;
+  write_csv(append_to(&text, results.size() + 1, 160));
+  return text;
+}
+
+void BatchReport::write_csv(const TextSink& sink) const {
+  using Field = TextWriter::CsvField;
+  TextWriter out(sink, TextWriter::Doubles::kShortest);
   // Columns 1-17 are deterministic (CI diffs them across thread counts
   // and cache modes); wall_s and the per-stage timings are host times,
   // error is free text and stays last.
@@ -271,29 +396,9 @@ std::string BatchReport::to_csv() const {
          "wall_s,parse_s,check_s,transform_s,estimate_s,tripped_limit,"
          "error\n";
   // Free-text fields (the model name may be a file path; error messages
-  // quote model content) are escaped per RFC 4180: a field containing a
-  // comma, quote or line break is wrapped in quotes with embedded quotes
-  // doubled.  Clean fields pass through byte-identical, so determinism
-  // diffs over the fixed-format columns are unaffected.
-  const auto field = [](const std::string& text) {
-    if (text.find_first_of(",\"\r\n") == std::string::npos) {
-      return text;
-    }
-    std::string quoted;
-    quoted.reserve(text.size() + 2);
-    quoted += '"';
-    for (const char c : text) {
-      if (c == '"') {
-        quoted += '"';
-      }
-      quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-  };
+  // quote model content) are escaped per RFC 4180.
   for (const auto& result : results) {
-    const std::string error = field(result.error);
-    out << result.job_id << ',' << field(result.model_name) << ','
+    out << result.job_id << ',' << Field{result.model_name} << ','
         << result.params.processes << ',' << result.params.nodes << ','
         << result.params.processors_per_node << ','
         << result.params.threads_per_process << ','
@@ -306,9 +411,9 @@ std::string BatchReport::to_csv() const {
         << result.generated_bytes << ',' << result.wall_seconds << ','
         << result.parse_seconds << ',' << result.check_seconds << ','
         << result.transform_seconds << ',' << result.estimate_seconds << ','
-        << result.tripped_limit << ',' << error << '\n';
+        << result.tripped_limit << ',' << Field{result.error} << '\n';
   }
-  return out.str();
+  out.flush();
 }
 
 // --- BatchRunner -------------------------------------------------------------

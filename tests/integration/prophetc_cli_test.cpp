@@ -3,7 +3,10 @@
 // source of truth, asserted out-of-process against the real binary.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -30,6 +33,11 @@ CommandResult run_command(const std::string& command) {
   }
   result.status = pclose(pipe);
   return result;
+}
+
+/// The command's exit code, from pclose's wait status.
+int exit_code(int status) {
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 std::string prophetc() { return std::string(PROPHET_BINARY_DIR) + "/prophetc"; }
@@ -178,6 +186,40 @@ TEST(ProphetcCli, EstimateTimingsReportsExpressionCompileSplit) {
       << "predicted time differs between --timings and default paths:\n"
       << timed.output << "\nvs\n"
       << plain.output;
+}
+
+TEST(ProphetcCli, SweepCsvWriteErrorExitsOne) {
+  // /dev/full accepts the open and fails every write: the error shows
+  // at the last flush, and must not be reported as a written CSV.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  const auto result = run_command(
+      prophetc() +
+      " sweep @sample --grid 'np=1..8' --backend analytic --csv /dev/full");
+  EXPECT_EQ(exit_code(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("cannot write /dev/full"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("csv written"), std::string::npos)
+      << result.output;
+}
+
+TEST(ProphetcCli, SweepCsvUnwritablePathFailsBeforeAnyJobRuns) {
+  // A directory cannot be opened as the CSV.  The runaway @spin job
+  // would hold the sweep for the whole --job-timeout if it ran; the
+  // open fails first, so no job starts, no progress heartbeat and no
+  // summary are printed.
+  const std::string dir = ::testing::TempDir();
+  const auto result = run_command(
+      prophetc() +
+      " sweep '@spin(trips=1000000000000)' --grid np=1 --job-timeout 20 "
+      "--progress --csv " +
+      dir);
+  EXPECT_EQ(exit_code(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("cannot write " + dir), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("job(s)"), std::string::npos)
+      << result.output;
 }
 
 }  // namespace

@@ -80,8 +80,10 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "prophet/analytic/backend.hpp"
@@ -368,6 +370,14 @@ std::string timings_line(const prophet::obs::Registry& registry,
                 static_cast<std::size_t>(
                     registry.counter_value("lower.bytecode_bytes")));
   return line;
+}
+
+/// A report sink that writes each chunk to `file`; write errors stay
+/// sticky on the stream for the caller's ferror/fclose check.
+prophet::pipeline::TextSink stdio_sink(std::FILE* file) {
+  return [file](std::string_view chunk) {
+    std::fwrite(chunk.data(), 1, chunk.size(), file);
+  };
 }
 
 /// Writes `text` to `path`; reports and returns false on I/O failure.
@@ -886,6 +896,17 @@ int cmd_sweep(const std::vector<std::string>& args) {
         index, prophet::pipeline::ScenarioGrid::parse(grid_spec, model_base));
   }
 
+  // The CSV is opened before any job runs, so an unwritable path fails
+  // at once instead of after the whole sweep.
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> csv(nullptr, &std::fclose);
+  if (!csv_path.empty()) {
+    csv.reset(std::fopen(csv_path.c_str(), "w"));
+    if (csv == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
+      return 1;
+    }
+  }
+
   g_interrupt_budget.store(&interrupt_budget, std::memory_order_relaxed);
   std::signal(SIGINT, handle_interrupt);
   const auto report = runner.run();
@@ -894,14 +915,15 @@ int cmd_sweep(const std::vector<std::string>& args) {
   if (interrupt_budget.cancel_requested()) {
     std::fprintf(stderr, "sweep: interrupted; partial results follow\n");
   }
-  std::printf("%s", report.summary().c_str());
-  if (!csv_path.empty()) {
-    std::ofstream out(csv_path);
-    if (!out) {
+  report.write_summary(stdio_sink(stdout));
+  if (csv != nullptr) {
+    report.write_csv(stdio_sink(csv.get()));
+    // A full disk shows up here, at the last flush, not at fopen.
+    const bool failed = std::ferror(csv.get()) != 0;
+    if (std::fclose(csv.release()) != 0 || failed) {
       std::fprintf(stderr, "cannot write %s\n", csv_path.c_str());
       return 1;
     }
-    out << report.to_csv();
     std::printf("csv written to %s\n", csv_path.c_str());
   }
   if (!metrics_path.empty()) {
