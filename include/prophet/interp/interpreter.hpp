@@ -1,8 +1,9 @@
 // Direct interpreter of UML performance models.
 //
 // This is the *human-usable* evaluation path the paper contrasts with the
-// machine-efficient generated C++: it walks the UML model tree at
-// simulation time, re-evaluating guards, cost expressions and code
+// machine-efficient generated C++: it walks the model's activity
+// diagrams at simulation time (following the control flow lower::lower()
+// resolved once), re-evaluating guards, cost expressions and code
 // fragments through the expression evaluator.  Its semantics define the
 // reference behaviour the code generator must reproduce; differential
 // tests (tests/integration) pit the two against each other, and

@@ -7,8 +7,10 @@
 // checked `uml::Model` into an immutable `ModelProgram` — the model-wide
 // slot space, every expression tag/guard/initializer/function body
 // compiled to slot-resolved bytecode (expr::compile), code fragments
-// with statically resolved write targets, and the static metadata the
-// analytic backend's loop-collapse/SPMD legality checks read.
+// with statically resolved write targets, control flow resolved to
+// pointers (outgoing edges, subdiagrams, constant tags), and the static
+// metadata the analytic backend's loop-collapse/SPMD legality checks
+// read.
 //
 // Backends do not lower; they consume a `ModelProgram`
 // (`shared_ptr<const>` — any number of backends and threads share one
@@ -23,13 +25,16 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "prophet/expr/compile.hpp"
@@ -96,25 +101,91 @@ struct CompiledAssignment {
   expr::Compiled value;
 };
 
+struct NodePrograms;
+
+/// A diagram with its entry node resolved: what a walker enters for the
+/// main diagram and for every loop body or activity content.
+struct DiagramProgram {
+  /// The diagram (its id and node count feed walk diagnostics and the
+  /// step limit).
+  const uml::ActivityDiagram* diagram = nullptr;
+  /// The diagram's initial node (ActivityDiagram::initial()); null when
+  /// it has none, which is an error only when a walk enters the diagram.
+  const NodePrograms* initial = nullptr;
+};
+
+/// One outgoing control-flow edge with everything a walker reads from
+/// it resolved at lowering time.
+struct ControlEdge {
+  /// The edge itself (its id appears in diagnostics).
+  const uml::ControlFlow* flow = nullptr;
+  /// The target node (ActivityDiagram::node(flow->target())); null when
+  /// the edge dangles, which ends a walk like a dead end.
+  const uml::Node* target = nullptr;
+  /// The target's programs; null exactly when `target` is.
+  const NodePrograms* to = nullptr;
+  /// The compiled guard (== ModelProgram::guard(*flow)): null for
+  /// unguarded and `else` edges.
+  const expr::Compiled* guard = nullptr;
+  /// The `prob` tag (tag_number), valid when `has_prob`.
+  double prob = 0;
+  /// True when the edge carries a numeric `prob` tag.
+  bool has_prob = false;
+  /// True for the distinguished `else` edge.
+  bool is_else = false;
+};
+
+/// An absent tag program (what NodePrograms::tag returns for a tag the
+/// node lacks).
+inline const std::optional<expr::Compiled> kAbsentProgram;
+
 /// Everything an evaluation site needs at one node, pre-resolved: the
 /// node's uid, the compiled programs of its expression tags, its code
-/// fragment, and (for <<loop+>> nodes) the loop-variable slot.
+/// fragment, (for <<loop+>> nodes) the loop-variable slot, and its
+/// control flow — outgoing edges, subdiagram and constant tags — so a
+/// walker never looks up an identifier string.
 struct NodePrograms {
+  /// The node (name and stereotype for dispatch, id for diagnostics).
+  const uml::Node* node = nullptr;
+  /// node->kind(), read on every walk step.
+  uml::NodeKind kind = uml::NodeKind::Action;
+  /// True when some outgoing edge carries a `prob` tag (the analytic
+  /// walkers take the expectation over such a decision's branches).
+  bool probabilistic = false;
   /// Numeric element uid (explicit `id` tag, else a stable 1-based
   /// index skipping claimed values).
   int uid = 0;
   /// Slot of the loop variable bound by this node (Loop nodes only).
   expr::Slot loop_var_slot = 0;
-  /// Compiled expression tags, indexed by TagKind; absent entries mean
-  /// the tag is missing or empty on this node.
-  std::array<std::optional<expr::Compiled>, kTagKindCount> tags;
+  /// Outgoing edges in diagram edge order (ActivityDiagram::outgoing),
+  /// a range of the program's one flat edge array.
+  std::span<const ControlEdge> edges;
+  /// The content diagram of Activity and Loop nodes (never null for
+  /// them: lowering rejects unknown references); null otherwise.
+  const DiagramProgram* subdiagram = nullptr;
+  /// The `time` tag (tag_number).
+  std::optional<double> time;
+  /// The message tag of sends and receives (`tag`; tag_number, 0 when
+  /// absent).
+  double msg_tag = 0;
+  /// The `chunk` tag (tag_number, 0 when absent).
+  double chunk = 0;
+  /// The `schedule` tag (tag_string), "static" when absent or empty.
+  const std::string* schedule = nullptr;
+  /// The lock name of <<ompcritical>> (`name`; tag_string), "default"
+  /// when absent or empty.
+  const std::string* critical_name = nullptr;
+  /// Compiled expression tags, indexed by TagKind; null entries mean the
+  /// tag is missing or empty on this node.
+  std::array<const std::optional<expr::Compiled>*, kTagKindCount> tags{};
   /// The node's code fragment as resolved assignments (execution order).
   std::vector<CompiledAssignment> fragment;
 
   /// The compiled program of `kind`, absent when the node lacks the tag.
   [[nodiscard]] const std::optional<expr::Compiled>& tag(
       TagKind kind) const {
-    return tags[static_cast<std::size_t>(kind)];
+    const auto* program = tags[static_cast<std::size_t>(kind)];
+    return program != nullptr ? *program : kAbsentProgram;
   }
   /// `cost` program (TagKind::Cost).
   [[nodiscard]] const std::optional<expr::Compiled>& cost() const {
@@ -203,12 +274,21 @@ struct LoweringStats {
 /// `const uml::ControlFlow*`; both are heap-allocated and owned through
 /// the model's diagram list, so the keys are stable for the model's
 /// lifetime (including across a move of the Model object itself).
+/// Control flow is resolved too: walkers start at main_diagram() and
+/// follow NodePrograms::edges / subdiagram pointers, which point into
+/// this program's own storage — hence no copies or moves.
 class ModelProgram {
  public:
   /// Lowers `model`, borrowing it (see lower() for the owning form).
   /// Throws LowerError on unparseable expressions, malformed fragments,
   /// unresolvable diagram references or a missing main diagram.
   explicit ModelProgram(const uml::Model& model);
+
+  /// \name Non-copyable (the resolved control flow points into it)
+  ///@{
+  ModelProgram(const ModelProgram&) = delete;
+  ModelProgram& operator=(const ModelProgram&) = delete;
+  ///@}
 
   /// The lowered model (borrowed or owned; never null).
   [[nodiscard]] const uml::Model& model() const { return *model_; }
@@ -251,9 +331,10 @@ class ModelProgram {
 
   /// The lowered programs of `node`.  Every node of every diagram of the
   /// model has an entry; passing a foreign node throws std::out_of_range.
-  [[nodiscard]] const NodePrograms& at(const uml::Node& node) const {
-    return nodes_.at(&node);
-  }
+  [[nodiscard]] const NodePrograms& at(const uml::Node& node) const;
+
+  /// The main diagram, resolved (where every process's walk starts).
+  [[nodiscard]] const DiagramProgram& main_diagram() const { return *main_; }
 
   /// The compiled guard of `edge`, or nullptr when the edge is
   /// unguarded or an `else` edge.
@@ -280,8 +361,22 @@ class ModelProgram {
   std::vector<CompiledVariable> variables_;
   std::vector<expr::Compiled> functions_;    // indexed by function id
   std::map<std::string, int, std::less<>> function_ids_;
-  std::map<const uml::Node*, NodePrograms> nodes_;
-  std::map<const uml::ControlFlow*, expr::Compiled> guards_;
+  // Node programs in diagram order, then node order; the index is
+  // sorted by node pointer for at().
+  std::vector<NodePrograms> nodes_;
+  std::vector<std::pair<const uml::Node*, const NodePrograms*>> node_index_;
+  // Expression-tag programs, pointed to by NodePrograms::tags.
+  std::vector<std::optional<expr::Compiled>> tag_programs_;
+  // Guards in diagram edge order; the index is sorted by edge pointer.
+  std::vector<expr::Compiled> guard_programs_;
+  std::vector<std::pair<const uml::ControlFlow*, const expr::Compiled*>>
+      guard_index_;
+  // Every NodePrograms::edges range lies in this one array.
+  std::vector<ControlEdge> edges_;
+  std::vector<DiagramProgram> diagrams_;  // model diagram order
+  const DiagramProgram* main_ = nullptr;
+  // Pre-read schedule and lock names (set nodes never move).
+  std::set<std::string, std::less<>> names_;
   std::map<std::string, int> uids_;          // node element id -> uid
 
   LoweringStats stats_;

@@ -243,9 +243,11 @@ struct BatchOptions {
   /// same-model jobs are grouped into chunks of up to this many lanes
   /// and evaluated through one PreparedModel::estimate_batch call — one
   /// batched analytic walk instead of N scalar ones.  0 picks the
-  /// default width (8); 1 disables batching.  Batching engages only on
-  /// the unlimited fast path (cached mode, no per-job limits or timeout,
-  /// no fault plan); a chunk that fails or is cancelled falls back to
+  /// default width (8); 1 disables batching.  Batching engages only when
+  /// the analytic estimator is selected (the other backends'
+  /// estimate_batch is the scalar loop) and only on the unlimited fast
+  /// path (cached mode, no per-job limits or timeout, no fault plan); a
+  /// chunk that fails or is cancelled falls back to
   /// per-job evaluation (counted in `batch.lanes_fallback`), so per-job
   /// error isolation, budgets and tripped_limit reporting are unchanged.
   /// Predictions are bit-identical at any lane width.

@@ -16,7 +16,6 @@ namespace prophet::analytic {
 namespace {
 
 using uml::ActivityDiagram;
-using uml::Model;
 using uml::Node;
 using uml::NodeKind;
 
@@ -101,6 +100,13 @@ struct LoopBinding {
   bool read = false;
 };
 
+/// The id of the join or merge a branch walk stopped at, "" when it
+/// reached none (the diagnostics compare and print ids).
+const std::string& id_of(const lower::NodePrograms* node) {
+  static const std::string kNone;
+  return node != nullptr ? node->node->id() : kNone;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -115,7 +121,6 @@ struct AnalyticEstimator::Impl {
   /// Immutable, so any number of estimators — and the simulation backend —
   /// can consume the same program concurrently.
   lower::ModelProgramPtr program;
-  const Model* model = nullptr;  // == &program->model(), cached
 
   /// Mutable state of one evaluate() call (evaluate is const + reentrant;
   /// everything per-run lives here, including the run-level slot frame).
@@ -241,7 +246,7 @@ struct AnalyticEstimator::Impl {
   };
 
   explicit Impl(lower::ModelProgramPtr p)
-      : program(std::move(p)), model(&program->model()) {}
+      : program(std::move(p)) {}
 
   AnalyticReport evaluate(const machine::SystemParameters& params,
                           obs::AnalyticCounters* counters,
@@ -279,6 +284,7 @@ struct Walker {
   using Impl = AnalyticEstimator::Impl;
   using EvalState = Impl::EvalState;
   using NodePrograms = Impl::NodePrograms;
+  using DiagramProgram = lower::DiagramProgram;
 
   Walker(const Impl& impl_in, EvalState& st_in, WalkResult& out_in)
       : impl(impl_in), st(st_in), out(out_in) {}
@@ -351,10 +357,6 @@ struct Walker {
     ctx.counters = st.counters != nullptr ? &st.counters->expr : nullptr;
     ctx.budget = st.budget;
     return program.eval(ctx);
-  }
-
-  [[nodiscard]] const NodePrograms& programs_of(const Node& node) const {
-    return impl.program->at(node);
   }
 
   /// Evaluates an optional tag program; absent tags are 0.0, evaluation
@@ -448,23 +450,24 @@ struct Walker {
 
   // --- Control flow -------------------------------------------------------
 
-  void run_diagram(const ActivityDiagram& diagram) {
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
-      throw AnalyticError("diagram " + diagram.id() + " has no initial node");
+  void run_diagram(const DiagramProgram& diagram) {
+    if (diagram.initial == nullptr) {
+      throw AnalyticError("diagram " + diagram.diagram->id() +
+                          " has no initial node");
     }
-    walk(diagram, *initial, /*stop_kind=*/std::nullopt, nullptr);
+    walk(*diagram.diagram, *diagram.initial, /*stop_kind=*/std::nullopt,
+         nullptr);
   }
 
   /// Walks from `start` until a Final node (stop == nullptr) or until a
-  /// node of `stop_kind` is reached (its id is written to *stop, and the
-  /// node is not executed).  When stopping at a Merge, merges that close
-  /// a guard-resolved decision *inside* the walked stretch are passed
+  /// node of `stop_kind` is reached (it is written to *stop and not
+  /// executed).  When stopping at a Merge, merges that close a
+  /// guard-resolved decision *inside* the walked stretch are passed
   /// through (`merge_debt`), so only the branch's own reconvergence point
   /// terminates it.
-  void walk(const ActivityDiagram& diagram, const Node& start,
-            std::optional<NodeKind> stop_kind, std::string* stop) {
-    const Node* node = &start;
+  void walk(const ActivityDiagram& diagram, const NodePrograms& start,
+            std::optional<NodeKind> stop_kind, const NodePrograms** stop) {
+    const NodePrograms* node = &start;
     int merge_debt = 0;
     while (node != nullptr) {
       if (++*steps > step_limit) {
@@ -478,31 +481,29 @@ struct Walker {
         st.budget->checkpoint("analytic-walk");
       }
       if (stop != nullptr && stop_kind.has_value() &&
-          node->kind() == *stop_kind) {
+          node->kind == *stop_kind) {
         if (*stop_kind == NodeKind::Merge && merge_debt > 0) {
           --merge_debt;  // closes a nested decision, keep walking
         } else {
-          *stop = node->id();
+          *stop = node;
           return;
         }
       }
-      if (node->kind() == NodeKind::Fork) {
-        std::string join_id;
-        execute_fork(diagram, *node, &join_id);
-        const Node* join = diagram.node(join_id);
-        const auto after = diagram.outgoing(join->id());
+      if (node->kind == NodeKind::Fork) {
+        const NodePrograms* join = execute_fork(diagram, *node);
+        const auto after = join->edges;
         if (after.empty()) {
           return;
         }
         if (after.size() > 1) {
-          throw AnalyticError("join " + join->id() +
+          throw AnalyticError("join " + join->node->id() +
                               " has multiple outgoing edges");
         }
-        node = diagram.node(after[0]->target());
+        node = after[0].to;
         continue;
       }
-      if (node->kind() == NodeKind::Decision) {
-        if (decision_is_probabilistic(diagram, *node)) {
+      if (node->kind == NodeKind::Decision) {
+        if (node->probabilistic) {
           // Consumes the decision's merge inline and resumes after it.
           node = execute_expected_decision(diagram, *node);
           continue;
@@ -512,40 +513,37 @@ struct Walker {
         }
       }
       execute_node(*node);
-      if (node->kind() == NodeKind::Final) {
+      if (node->kind == NodeKind::Final) {
         return;
       }
-      node = next_node(diagram, *node);
+      node = next_node(*node);
     }
   }
 
-  [[nodiscard]] const Node* next_node(const ActivityDiagram& diagram,
-                                      const Node& node) const {
-    const auto outgoing = diagram.outgoing(node.id());
-    if (node.kind() == NodeKind::Decision) {
-      const uml::ControlFlow* chosen = nullptr;
-      const uml::ControlFlow* fallback = nullptr;
-      const int uid = programs_of(node).uid;
-      for (const auto* edge : outgoing) {
-        if (edge->is_else()) {
+  [[nodiscard]] const NodePrograms* next_node(const NodePrograms& node) const {
+    const auto outgoing = node.edges;
+    if (node.kind == NodeKind::Decision) {
+      const lower::ControlEdge* chosen = nullptr;
+      const lower::ControlEdge* fallback = nullptr;
+      for (const auto& edge : outgoing) {
+        if (edge.is_else) {
           if (fallback == nullptr) {
-            fallback = edge;
+            fallback = &edge;
           }
           continue;
         }
-        const expr::Compiled* guard = impl.program->guard(*edge);
-        if (guard == nullptr) {
+        if (edge.guard == nullptr) {
           continue;  // unguarded edge out of a decision: never taken
         }
         double value = 0;
         try {
-          value = eval_program(*guard, uid);
+          value = eval_program(*edge.guard, node.uid);
         } catch (const expr::EvalError& error) {
-          throw AnalyticError("guard of edge " + edge->id() + ": " +
+          throw AnalyticError("guard of edge " + edge.flow->id() + ": " +
                               error.what());
         }
         if (expr::truthy(value)) {
-          chosen = edge;
+          chosen = &edge;
           break;
         }
       }
@@ -553,24 +551,24 @@ struct Walker {
         chosen = fallback;
       }
       if (chosen == nullptr) {
-        throw AnalyticError("decision " + node.id() +
+        throw AnalyticError("decision " + node.node->id() +
                             ": no guard holds and no 'else' edge");
       }
-      return diagram.node(chosen->target());
+      return chosen->to;
     }
     if (outgoing.empty()) {
       return nullptr;  // dead end; the checker's connectivity rule warns
     }
     if (outgoing.size() > 1) {
-      throw AnalyticError("node " + node.id() +
+      throw AnalyticError("node " + node.node->id() +
                           " has multiple unguarded outgoing edges");
     }
-    return diagram.node(outgoing[0]->target());
+    return outgoing[0].to;
   }
 
-  void execute_node(const Node& node) {
+  void execute_node(const NodePrograms& node) {
     ++st.elements;
-    switch (node.kind()) {
+    switch (node.kind) {
       case NodeKind::Initial:
       case NodeKind::Final:
       case NodeKind::Merge:
@@ -590,16 +588,18 @@ struct Walker {
     }
   }
 
-  void execute_fork(const ActivityDiagram& diagram, const Node& node,
-                    std::string* join_out) {
-    const auto outgoing = diagram.outgoing(node.id());
-    std::vector<std::string> joins(outgoing.size());
+  /// Walks every branch of `fork` to its join; returns the common join.
+  const NodePrograms* execute_fork(const ActivityDiagram& diagram,
+                                   const NodePrograms& fork) {
+    const std::string& id = fork.node->id();
+    const auto outgoing = fork.edges;
+    std::vector<const NodePrograms*> joins(outgoing.size(), nullptr);
     double max_elapsed = 0;
     double total_demand = 0;
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      const Node* target = diagram.node(outgoing[i]->target());
+      const NodePrograms* target = outgoing[i].to;
       if (target == nullptr) {
-        throw AnalyticError("fork " + node.id() + ": dangling edge");
+        throw AnalyticError("fork " + id + ": dangling edge");
       }
       WalkResult branch;
       Walker walker = sub(branch);
@@ -608,29 +608,20 @@ struct Walker {
       total_demand += sum_demand(branch.events);
       merge_criticals(branch, 1.0);
     }
+    // Joins compare by id, so the diagnostics read exactly as before.
     for (std::size_t i = 1; i < joins.size(); ++i) {
-      if (joins[i] != joins[0]) {
-        throw AnalyticError("fork " + node.id() +
-                            ": branches reach different joins ('" + joins[0] +
-                            "' vs '" + joins[i] + "')");
+      if (id_of(joins[i]) != id_of(joins[0])) {
+        throw AnalyticError("fork " + id +
+                            ": branches reach different joins ('" +
+                            id_of(joins[0]) + "' vs '" + id_of(joins[i]) +
+                            "')");
       }
     }
-    if (joins.empty() || joins[0].empty()) {
-      throw AnalyticError("fork " + node.id() +
-                          ": branches do not reach a join");
+    if (joins.empty() || id_of(joins[0]).empty()) {
+      throw AnalyticError("fork " + id + ": branches do not reach a join");
     }
     emit_compute(max_elapsed, total_demand);
-    *join_out = joins[0];
-  }
-
-  [[nodiscard]] bool decision_is_probabilistic(const ActivityDiagram& diagram,
-                                               const Node& node) const {
-    for (const auto* edge : diagram.outgoing(node.id())) {
-      if (edge->tag_number(uml::tag::kProb).has_value()) {
-        return true;
-      }
-    }
-    return false;
+    return joins[0];
   }
 
   /// Expectation over the branches of a `prob`-annotated decision: every
@@ -639,30 +630,33 @@ struct Walker {
   /// Returns the node after the merge to continue from (the merge itself
   /// is consumed here, so an enclosing branch walk never mistakes it for
   /// its own reconvergence point).
-  const Node* execute_expected_decision(const ActivityDiagram& diagram,
-                                        const Node& node) {
+  const NodePrograms* execute_expected_decision(const ActivityDiagram& diagram,
+                                                const NodePrograms& node) {
     ++st.elements;
-    const auto outgoing = diagram.outgoing(node.id());
+    const std::string& id = node.node->id();
+    const auto outgoing = node.edges;
     if (outgoing.empty()) {
-      throw AnalyticError("decision " + node.id() + " has no outgoing edges");
+      throw AnalyticError("decision " + id + " has no outgoing edges");
     }
     std::vector<double> weights(outgoing.size(), -1);
     double tagged_sum = 0;
     std::size_t untagged = 0;
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      if (const auto prob = outgoing[i]->tag_number(uml::tag::kProb)) {
-        if (*prob < 0 || *prob > 1 || std::isnan(*prob)) {
-          throw AnalyticError("decision " + node.id() + ": edge " +
-                              outgoing[i]->id() + " has prob outside [0, 1]");
+      if (outgoing[i].has_prob) {
+        const double prob = outgoing[i].prob;
+        if (prob < 0 || prob > 1 || std::isnan(prob)) {
+          throw AnalyticError("decision " + id + ": edge " +
+                              outgoing[i].flow->id() +
+                              " has prob outside [0, 1]");
         }
-        weights[i] = *prob;
-        tagged_sum += *prob;
+        weights[i] = prob;
+        tagged_sum += prob;
       } else {
         ++untagged;
       }
     }
     if (tagged_sum > 1 + 1e-9) {
-      throw AnalyticError("decision " + node.id() +
+      throw AnalyticError("decision " + id +
                           ": branch probabilities sum to more than 1");
     }
     const double rest =
@@ -677,48 +671,48 @@ struct Walker {
       norm += weight;
     }
     if (norm <= 0) {
-      throw AnalyticError("decision " + node.id() +
+      throw AnalyticError("decision " + id +
                           ": branch probabilities sum to zero");
     }
 
-    std::string merge_id;
+    const NodePrograms* merge = nullptr;
     double expected_elapsed = 0;
     double expected_demand = 0;
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      const Node* target = diagram.node(outgoing[i]->target());
+      const NodePrograms* target = outgoing[i].to;
       if (target == nullptr) {
-        throw AnalyticError("decision " + node.id() + ": dangling edge");
+        throw AnalyticError("decision " + id + ": dangling edge");
       }
       const double weight = weights[i] / norm;
-      std::string branch_merge;
+      const NodePrograms* branch_merge = nullptr;
       WalkResult branch;
       Walker walker = sub(branch);
       walker.allow_fragments = false;
       walker.walk(diagram, *target, NodeKind::Merge, &branch_merge);
-      if (branch_merge.empty()) {
-        throw AnalyticError("decision " + node.id() +
+      if (id_of(branch_merge).empty()) {
+        throw AnalyticError("decision " + id +
                             ": probability-weighted branches must "
                             "reconverge at a merge");
       }
-      if (merge_id.empty()) {
-        merge_id = branch_merge;
-      } else if (merge_id != branch_merge) {
-        throw AnalyticError("decision " + node.id() +
+      if (merge == nullptr) {
+        merge = branch_merge;
+      } else if (id_of(merge) != id_of(branch_merge)) {
+        throw AnalyticError("decision " + id +
                             ": branches reach different merges ('" +
-                            merge_id + "' vs '" + branch_merge + "')");
+                            id_of(merge) + "' vs '" + id_of(branch_merge) +
+                            "')");
       }
       expected_elapsed += weight * sum_elapsed(branch.events);
       expected_demand += weight * sum_demand(branch.events);
       merge_criticals(branch, weight);
     }
     emit_compute(expected_elapsed, expected_demand);
-    const Node* merge = diagram.node(merge_id);
     ++st.elements;  // the consumed merge
-    return next_node(diagram, *merge);
+    return next_node(*merge);
   }
 
-  void execute_action(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
+  void execute_action(const NodePrograms& programs) {
+    const Node& node = *programs.node;
     run_fragment(programs, node);
     const int uid = programs.uid;
     const std::string& stereotype = node.stereotype();
@@ -727,8 +721,8 @@ struct Walker {
       double cost = 0;
       if (programs.cost().has_value()) {
         cost = eval_tag(programs.cost(), uml::tag::kCost, node, uid);
-      } else if (auto time = node.tag_number(uml::tag::kTime)) {
-        cost = *time;
+      } else if (programs.time.has_value()) {
+        cost = *programs.time;
       }
       const double seconds = machine::compute_time(params, cost);
       emit_compute(seconds, seconds);
@@ -738,16 +732,14 @@ struct Walker {
           eval_tag(programs.dest(), uml::tag::kDest, node, uid));
       const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
                                     uid);
-      const int tag =
-          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
+      const int tag = static_cast<int>(programs.msg_tag);
       emit_busy(params.network_overhead);
       out.events.push_back({EvKind::Send, 0, 0, bytes, dest, tag});
     } else if (stereotype == uml::stereo::kRecv) {
       require_comm(node);
       const int source = static_cast<int>(
           eval_tag(programs.source(), uml::tag::kSource, node, uid));
-      const int tag =
-          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
+      const int tag = static_cast<int>(programs.msg_tag);
       out.events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
     } else if (stereotype == uml::stereo::kBarrier) {
       require_comm(node);
@@ -769,15 +761,10 @@ struct Walker {
           eval_tag(programs.iterations(), uml::tag::kIterations, node, uid);
       const double itercost =
           eval_tag(programs.itercost(), uml::tag::kIterCost, node, uid);
-      std::string schedule = node.tag_string(uml::tag::kSchedule);
-      if (schedule.empty()) {
-        schedule = "static";
-      }
-      const auto chunk = static_cast<std::int64_t>(
-          node.tag_number(uml::tag::kChunk).value_or(0));
+      const auto chunk = static_cast<std::int64_t>(programs.chunk);
       const int threads = region_threads > 0 ? region_threads : 1;
       const double compute = workload::WorkshareElement::model_compute(
-          iterations, itercost, schedule, chunk, threads, tid);
+          iterations, itercost, *programs.schedule, chunk, threads, tid);
       const double seconds = machine::compute_time(params, compute);
       emit_compute(seconds, seconds);
     } else if (stereotype == uml::stereo::kOmpBarrier) {
@@ -791,11 +778,10 @@ struct Walker {
     }
   }
 
-  void execute_activity(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
+  void execute_activity(const NodePrograms& programs) {
+    const Node& node = *programs.node;
     run_fragment(programs, node);
-    const ActivityDiagram* sub_diagram =
-        impl.model->diagram(node.subdiagram_id());
+    const DiagramProgram* sub_diagram = programs.subdiagram;
     const std::string& stereotype = node.stereotype();
     if (stereotype == uml::stereo::kOmpParallel) {
       int threads = st.params.threads_per_process;
@@ -822,10 +808,7 @@ struct Walker {
       }
       emit_compute(max_elapsed, total_demand);
     } else if (stereotype == uml::stereo::kOmpCritical) {
-      std::string lock = node.tag_string(uml::tag::kCriticalName);
-      if (lock.empty()) {
-        lock = "default";
-      }
+      const std::string& lock = *programs.critical_name;
       WalkResult body;
       Walker walker = sub(body);
       walker.run_diagram(*sub_diagram);
@@ -842,10 +825,10 @@ struct Walker {
     }
   }
 
-  void execute_loop(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
+  void execute_loop(const NodePrograms& programs) {
+    const Node& node = *programs.node;
     run_fragment(programs, node);
-    const ActivityDiagram* body = impl.model->diagram(node.subdiagram_id());
+    const DiagramProgram* body = programs.subdiagram;
     const double raw =
         eval_tag(programs.iterations(), uml::tag::kIterations, node,
                  programs.uid);
@@ -942,7 +925,7 @@ struct Walker {
       locals[variable.slot] = coerce(variable.type, value);
       (*frame)[variable.slot] = &locals[variable.slot];
     }
-    run_diagram(*impl.model->main_diagram());
+    run_diagram(impl.program->main_diagram());
   }
 };
 
@@ -1271,6 +1254,7 @@ struct BatchWalker {
   using Impl = AnalyticEstimator::Impl;
   using BatchState = Impl::BatchState;
   using NodePrograms = Impl::NodePrograms;
+  using DiagramProgram = lower::DiagramProgram;
 
   BatchWalker(const Impl& impl_in, BatchState& st_in,
               std::vector<WalkResult>& out_in)
@@ -1337,10 +1321,6 @@ struct BatchWalker {
     ctx.counters = st.counters != nullptr ? &st.counters->expr : nullptr;
     ctx.budget = st.budget;
     program.eval_batch(ctx, out_lanes);
-  }
-
-  [[nodiscard]] const NodePrograms& programs_of(const Node& node) const {
-    return impl.program->at(node);
   }
 
   /// Optional tag program across lanes; absent tags are 0.0 in every
@@ -1439,18 +1419,17 @@ struct BatchWalker {
 
   // --- Control flow -------------------------------------------------------
 
-  void run_diagram(const ActivityDiagram& diagram) {
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
+  void run_diagram(const DiagramProgram& diagram) {
+    if (diagram.initial == nullptr) {
       throw BatchDivergence{};  // scalar reports the missing initial node
     }
-    walk(diagram, *initial);
+    walk(*diagram.initial);
   }
 
   /// Walks from `start` to a Final node.  Forks and probabilistic
   /// decisions diverge, so no stop-kind machinery is needed here.
-  void walk(const ActivityDiagram& diagram, const Node& start) {
-    const Node* node = &start;
+  void walk(const NodePrograms& start) {
+    const NodePrograms* node = &start;
     while (node != nullptr) {
       if (++*steps > step_limit) {
         throw BatchDivergence{};  // scalar raises the step-limit error
@@ -1458,51 +1437,37 @@ struct BatchWalker {
       if (st.budget != nullptr && (*steps & 1023U) == 0) {
         st.budget->checkpoint("analytic-walk");
       }
-      if (node->kind() == NodeKind::Fork) {
+      if (node->kind == NodeKind::Fork) {
         throw BatchDivergence{};
       }
-      if (node->kind() == NodeKind::Decision &&
-          decision_is_probabilistic(diagram, *node)) {
+      if (node->kind == NodeKind::Decision && node->probabilistic) {
         throw BatchDivergence{};
       }
       execute_node(*node);
-      if (node->kind() == NodeKind::Final) {
+      if (node->kind == NodeKind::Final) {
         return;
       }
-      node = next_node(diagram, *node);
+      node = next_node(*node);
     }
   }
 
-  [[nodiscard]] bool decision_is_probabilistic(const ActivityDiagram& diagram,
-                                               const Node& node) const {
-    for (const auto* edge : diagram.outgoing(node.id())) {
-      if (edge->tag_number(uml::tag::kProb).has_value()) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] const Node* next_node(const ActivityDiagram& diagram,
-                                      const Node& node) const {
-    const auto outgoing = diagram.outgoing(node.id());
-    if (node.kind() == NodeKind::Decision) {
-      const uml::ControlFlow* chosen = nullptr;
-      const uml::ControlFlow* fallback = nullptr;
-      const int uid = programs_of(node).uid;
+  [[nodiscard]] const NodePrograms* next_node(const NodePrograms& node) const {
+    const auto outgoing = node.edges;
+    if (node.kind == NodeKind::Decision) {
+      const lower::ControlEdge* chosen = nullptr;
+      const lower::ControlEdge* fallback = nullptr;
       std::vector<double> value(width());
-      for (const auto* edge : outgoing) {
-        if (edge->is_else()) {
+      for (const auto& edge : outgoing) {
+        if (edge.is_else) {
           if (fallback == nullptr) {
-            fallback = edge;
+            fallback = &edge;
           }
           continue;
         }
-        const expr::Compiled* guard = impl.program->guard(*edge);
-        if (guard == nullptr) {
+        if (edge.guard == nullptr) {
           continue;  // unguarded edge out of a decision: never taken
         }
-        eval_program(*guard, uid, value.data());
+        eval_program(*edge.guard, node.uid, value.data());
         const bool taken = expr::truthy(value[0]);
         for (std::size_t lane = 1; lane < width(); ++lane) {
           if (expr::truthy(value[lane]) != taken) {
@@ -1510,7 +1475,7 @@ struct BatchWalker {
           }
         }
         if (taken) {
-          chosen = edge;
+          chosen = &edge;
           break;
         }
       }
@@ -1520,7 +1485,7 @@ struct BatchWalker {
       if (chosen == nullptr) {
         throw BatchDivergence{};  // scalar raises the no-guard error
       }
-      return diagram.node(chosen->target());
+      return chosen->to;
     }
     if (outgoing.empty()) {
       return nullptr;
@@ -1528,12 +1493,12 @@ struct BatchWalker {
     if (outgoing.size() > 1) {
       throw BatchDivergence{};
     }
-    return diagram.node(outgoing[0]->target());
+    return outgoing[0].to;
   }
 
-  void execute_node(const Node& node) {
+  void execute_node(const NodePrograms& node) {
     ++st.elements;
-    switch (node.kind()) {
+    switch (node.kind) {
       case NodeKind::Initial:
       case NodeKind::Final:
       case NodeKind::Merge:
@@ -1554,8 +1519,8 @@ struct BatchWalker {
     }
   }
 
-  void execute_action(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
+  void execute_action(const NodePrograms& programs) {
+    const Node& node = *programs.node;
     require_fragment_free(programs);
     const int uid = programs.uid;
     const std::string& stereotype = node.stereotype();
@@ -1565,8 +1530,8 @@ struct BatchWalker {
     if (stereotype == uml::stereo::kActionPlus || stereotype.empty()) {
       if (programs.cost().has_value()) {
         eval_tag(programs.cost(), uid, value.data());
-      } else if (const auto time = node.tag_number(uml::tag::kTime)) {
-        std::fill(value.begin(), value.end(), *time);
+      } else if (programs.time.has_value()) {
+        std::fill(value.begin(), value.end(), *programs.time);
       } else {
         std::fill(value.begin(), value.end(), 0.0);
       }
@@ -1581,8 +1546,7 @@ struct BatchWalker {
       eval_tag(programs.dest(), uid, value.data());
       const int dest = uniform_int(value.data());
       eval_tag(programs.size(), uid, value.data());  // bytes may vary
-      const int tag =
-          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
+      const int tag = static_cast<int>(programs.msg_tag);
       for (std::size_t lane = 0; lane < w; ++lane) {
         seconds[lane] = st.lanes[lane].network_overhead;
       }
@@ -1597,8 +1561,7 @@ struct BatchWalker {
       }
       eval_tag(programs.source(), uid, value.data());
       const int source = uniform_int(value.data());
-      const int tag =
-          static_cast<int>(node.tag_number(uml::tag::kMsgTag).value_or(0));
+      const int tag = static_cast<int>(programs.msg_tag);
       for (std::size_t lane = 0; lane < w; ++lane) {
         out[lane].events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
       }
@@ -1630,12 +1593,8 @@ struct BatchWalker {
       std::vector<double> itercost(w);
       eval_tag(programs.iterations(), uid, value.data());
       eval_tag(programs.itercost(), uid, itercost.data());
-      std::string schedule = node.tag_string(uml::tag::kSchedule);
-      if (schedule.empty()) {
-        schedule = "static";
-      }
-      const auto chunk = static_cast<std::int64_t>(
-          node.tag_number(uml::tag::kChunk).value_or(0));
+      const std::string& schedule = *programs.schedule;
+      const auto chunk = static_cast<std::int64_t>(programs.chunk);
       // Parallel regions diverge, so a batched <<ompfor>> is always
       // outside one: threads = 1, tid = 0 — the scalar walker's values.
       for (std::size_t lane = 0; lane < w; ++lane) {
@@ -1652,30 +1611,20 @@ struct BatchWalker {
     }
   }
 
-  void execute_activity(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
+  void execute_activity(const NodePrograms& programs) {
     require_fragment_free(programs);
-    const std::string& stereotype = node.stereotype();
+    const std::string& stereotype = programs.node->stereotype();
     if (stereotype == uml::stereo::kOmpParallel ||
         stereotype == uml::stereo::kOmpCritical) {
       throw BatchDivergence{};
     }
-    const ActivityDiagram* sub_diagram =
-        impl.model->diagram(node.subdiagram_id());
-    if (sub_diagram == nullptr) {
-      throw BatchDivergence{};
-    }
     // <<activity+>> (or unstereotyped composite): inline content.
-    run_diagram(*sub_diagram);
+    run_diagram(*programs.subdiagram);
   }
 
-  void execute_loop(const Node& node) {
-    const NodePrograms& programs = programs_of(node);
+  void execute_loop(const NodePrograms& programs) {
     require_fragment_free(programs);
-    const ActivityDiagram* body = impl.model->diagram(node.subdiagram_id());
-    if (body == nullptr) {
-      throw BatchDivergence{};
-    }
+    const DiagramProgram& body = *programs.subdiagram;
     const std::size_t w = width();
     std::vector<double> raw(w);
     eval_tag(programs.iterations(), programs.uid, raw.data());
@@ -1712,7 +1661,7 @@ struct BatchWalker {
     {
       BatchWalker walker = sub(first);
       walker.allow_comm = allow_comm;
-      walker.run_diagram(*body);
+      walker.run_diagram(body);
     }
     const bool collapsible =
         !bindings->back().read && compute_only(first[0].events);
@@ -1739,7 +1688,7 @@ struct BatchWalker {
         }
         std::fill(loop_lanes.begin(), loop_lanes.end(),
                   static_cast<double>(k));
-        run_diagram(*body);
+        run_diagram(body);
       }
     }
     (*frame)[programs.loop_var_slot] = saved;
@@ -1765,7 +1714,7 @@ struct BatchWalker {
       }
       (*frame)[variable.slot] = &locals[variable.slot * width()];
     }
-    run_diagram(*impl.model->main_diagram());
+    run_diagram(impl.program->main_diagram());
   }
 };
 
@@ -1799,10 +1748,6 @@ AnalyticReport AnalyticEstimator::Impl::evaluate(
 
   // Global variables, initialized in declaration order and bound into
   // the run frame one by one (interpreter start_run semantics).
-  std::size_t total_nodes = 0;
-  for (const auto& diagram : model->diagrams()) {
-    total_nodes += diagram->node_count();
-  }
   for (const auto& variable : program->variables()) {
     if (variable.scope != uml::VariableScope::Global) {
       continue;
@@ -1843,7 +1788,7 @@ AnalyticReport AnalyticEstimator::Impl::evaluate(
     walker.bindings = &bindings;
     walker.functions = &functions;
     walker.steps = &steps;
-    walker.step_limit = 1000000ULL + 1000ULL * total_nodes;
+    walker.step_limit = 1000000ULL + 1000ULL * program->stats().nodes;
     walker.walk_process();
     return result;
   };
@@ -1939,11 +1884,6 @@ std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch_fast(
   functions.impl = this;
   functions.st = &st;
 
-  std::size_t total_nodes = 0;
-  for (const auto& diagram : model->diagrams()) {
-    total_nodes += diagram->node_count();
-  }
-
   // Global variables across lanes, initialized in declaration order and
   // bound one by one (identical semantics to the scalar init loop; the
   // scalar path evaluates them with pid = tid = 0 too).
@@ -1984,7 +1924,7 @@ std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch_fast(
   walker.bindings = &bindings;
   walker.functions = &functions;
   walker.steps = &steps;
-  walker.step_limit = 1000000ULL + 1000ULL * total_nodes;
+  walker.step_limit = 1000000ULL + 1000ULL * program->stats().nodes;
   walker.walk_process();
 
   std::vector<AnalyticReport> reports;

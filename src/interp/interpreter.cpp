@@ -12,7 +12,6 @@ namespace prophet::interp {
 namespace {
 
 using uml::ActivityDiagram;
-using uml::Model;
 using uml::Node;
 using uml::NodeKind;
 using workload::ModelContext;
@@ -43,10 +42,10 @@ struct Scope {
 /// the coroutine walkers live here.
 struct Interpreter::Impl final : expr::UserFunctions {
   using NodePrograms = lower::NodePrograms;
+  using DiagramProgram = lower::DiagramProgram;
   using CompiledAssignment = lower::CompiledAssignment;
 
   std::shared_ptr<const Program> program;
-  const Model* model = nullptr;  // == &program->model(), cached
 
   // Per-run state.  Globals live in a slot-indexed array shared by all
   // modeled processes of the run; the run frame binds global and
@@ -59,8 +58,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
   obs::ExprCounters* expr_counters = nullptr;  // null: counting disabled
   guard::Budget* budget = nullptr;             // null: unguarded
 
-  explicit Impl(std::shared_ptr<const Program> p)
-      : program(std::move(p)), model(&program->model()) {
+  explicit Impl(std::shared_ptr<const Program> p) : program(std::move(p)) {
     // Pre-run frame: structural parameters at their defaults, globals
     // unbound (cost functions called before a run see exactly what the
     // tree walker's empty globals map gave them).
@@ -211,27 +209,28 @@ struct Interpreter::Impl final : expr::UserFunctions {
       local_values[variable.slot] = coerce(variable.type, value);
       scope.frame[variable.slot] = &local_values[variable.slot];
     }
-    co_await run_diagram(ctx, *model->main_diagram(), scope);
+    co_await run_diagram(ctx, program->main_diagram(), scope);
   }
 
   /// Walks a diagram from its initial node to a final node (or a dead
   /// end).  `scope` is taken by value: the slot frame is snapshot,
   /// locals stay shared through the storage pointers.
-  sim::Process run_diagram(ModelContext ctx, const ActivityDiagram& diagram,
+  sim::Process run_diagram(ModelContext ctx, const DiagramProgram& diagram,
                            Scope scope) {
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
-      throw InterpretError("diagram " + diagram.id() + " has no initial node");
+    if (diagram.initial == nullptr) {
+      throw InterpretError("diagram " + diagram.diagram->id() +
+                           " has no initial node");
     }
-    co_await walk(ctx, diagram, *initial, scope, nullptr);
+    co_await walk(ctx, *diagram.diagram, *diagram.initial, scope, nullptr);
   }
 
   /// Walks from `start` until a Final node (stop == nullptr) or until a
-  /// Join node is reached (its id is written to *stop, and the join node
-  /// is not executed).  Used both for whole diagrams and fork branches.
+  /// Join node is reached (it is written to *stop and not executed).
+  /// Used both for whole diagrams and fork branches.
   sim::Process walk(ModelContext ctx, const ActivityDiagram& diagram,
-                    const Node& start, Scope scope, std::string* stop) {
-    const Node* node = &start;
+                    const NodePrograms& start, Scope scope,
+                    const NodePrograms** stop) {
+    const NodePrograms* node = &start;
     // Guard against unstructured cycles (the checker warns; the
     // interpreter must not hang).
     std::uint64_t steps = 0;
@@ -243,57 +242,54 @@ struct Interpreter::Impl final : expr::UserFunctions {
                              ": walk exceeded step limit (unstructured "
                              "cycle without <<loop+>>?)");
       }
-      if (stop != nullptr && node->kind() == NodeKind::Join) {
-        *stop = node->id();
+      if (stop != nullptr && node->kind == NodeKind::Join) {
+        *stop = node;
         co_return;
       }
-      if (node->kind() == NodeKind::Fork) {
+      if (node->kind == NodeKind::Fork) {
         // Run the branches to their common join, then continue from the
         // join's successor.
-        std::string join_id;
-        co_await execute_fork(ctx, diagram, *node, scope, &join_id);
-        const Node* join = diagram.node(join_id);
-        const auto after = diagram.outgoing(join->id());
+        const NodePrograms* join = nullptr;
+        co_await execute_fork(ctx, diagram, *node, scope, &join);
+        const auto after = join->edges;
         if (after.empty()) {
           co_return;
         }
         if (after.size() > 1) {
-          throw InterpretError("join " + join->id() +
+          throw InterpretError("join " + join->node->id() +
                                " has multiple outgoing edges");
         }
-        node = diagram.node(after[0]->target());
+        node = after[0].to;
         continue;
       }
-      co_await execute_node(ctx, diagram, *node, scope);
-      if (node->kind() == NodeKind::Final) {
+      co_await execute_node(ctx, *node, scope);
+      if (node->kind == NodeKind::Final) {
         co_return;
       }
-      node = next_node(ctx, diagram, *node, scope);
+      node = next_node(ctx, *node, scope);
     }
   }
 
-  const Node* next_node(const ModelContext& ctx,
-                        const ActivityDiagram& diagram, const Node& node,
-                        const Scope& scope) {
-    const auto outgoing = diagram.outgoing(node.id());
-    if (node.kind() == NodeKind::Decision) {
-      const uml::ControlFlow* chosen = nullptr;
-      const uml::ControlFlow* fallback = nullptr;
-      const int uid = program->at(node).uid;
-      for (const auto* edge : outgoing) {
-        if (edge->is_else()) {
+  const NodePrograms* next_node(const ModelContext& ctx,
+                                const NodePrograms& node,
+                                const Scope& scope) {
+    const auto outgoing = node.edges;
+    if (node.kind == NodeKind::Decision) {
+      const lower::ControlEdge* chosen = nullptr;
+      const lower::ControlEdge* fallback = nullptr;
+      for (const auto& edge : outgoing) {
+        if (edge.is_else) {
           if (fallback == nullptr) {
-            fallback = edge;
+            fallback = &edge;
           }
           continue;
         }
-        const expr::Compiled* guard = program->guard(*edge);
-        if (guard == nullptr) {
+        if (edge.guard == nullptr) {
           continue;  // unguarded edge out of a decision: never taken
         }
-        if (expr::truthy(guard->eval(
-                make_context(scope.frame, ctx.pid, ctx.tid, uid)))) {
-          chosen = edge;
+        if (expr::truthy(edge.guard->eval(
+                make_context(scope.frame, ctx.pid, ctx.tid, node.uid)))) {
+          chosen = &edge;
           break;
         }
       }
@@ -301,25 +297,24 @@ struct Interpreter::Impl final : expr::UserFunctions {
         chosen = fallback;
       }
       if (chosen == nullptr) {
-        throw InterpretError("decision " + node.id() +
+        throw InterpretError("decision " + node.node->id() +
                              ": no guard holds and no 'else' edge");
       }
-      return diagram.node(chosen->target());
+      return chosen->to;
     }
     if (outgoing.empty()) {
       return nullptr;  // dead end; connectivity rule warns about this
     }
     if (outgoing.size() > 1) {
-      throw InterpretError("node " + node.id() +
+      throw InterpretError("node " + node.node->id() +
                            " has multiple unguarded outgoing edges");
     }
-    return diagram.node(outgoing[0]->target());
+    return outgoing[0].to;
   }
 
-  sim::Process execute_node(ModelContext ctx,
-                            [[maybe_unused]] const ActivityDiagram& diagram,
-                            const Node& node, Scope& scope) {
-    switch (node.kind()) {
+  sim::Process execute_node(ModelContext ctx, const NodePrograms& node,
+                            Scope& scope) {
+    switch (node.kind) {
       case NodeKind::Initial:
       case NodeKind::Final:
       case NodeKind::Merge:
@@ -340,17 +335,24 @@ struct Interpreter::Impl final : expr::UserFunctions {
     }
   }
 
+  /// The id of a reached join, "" when a branch reached none.
+  static const std::string& join_id(const NodePrograms* join) {
+    static const std::string kNone;
+    return join != nullptr ? join->node->id() : kNone;
+  }
+
   sim::Process execute_fork(ModelContext ctx, const ActivityDiagram& diagram,
-                            const Node& node, Scope& scope,
-                            std::string* join_out) {
-    const auto outgoing = diagram.outgoing(node.id());
-    std::vector<std::string> joins(outgoing.size());
+                            const NodePrograms& fork, Scope& scope,
+                            const NodePrograms** join_out) {
+    const std::string& id = fork.node->id();
+    const auto outgoing = fork.edges;
+    std::vector<const NodePrograms*> joins(outgoing.size(), nullptr);
     std::vector<sim::ProcessRef> branches;
     branches.reserve(outgoing.size());
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
-      const Node* target = diagram.node(outgoing[i]->target());
+      const NodePrograms* target = outgoing[i].to;
       if (target == nullptr) {
-        throw InterpretError("fork " + node.id() + ": dangling edge");
+        throw InterpretError("fork " + id + ": dangling edge");
       }
       // Branches share locals (generated code captures them by
       // reference) and snapshot the slot frame.
@@ -360,23 +362,24 @@ struct Interpreter::Impl final : expr::UserFunctions {
     for (const auto& branch : branches) {
       co_await branch;
     }
+    // Joins compare by id, so the diagnostics read exactly as before.
     for (std::size_t i = 1; i < joins.size(); ++i) {
-      if (joins[i] != joins[0]) {
-        throw InterpretError("fork " + node.id() +
+      if (join_id(joins[i]) != join_id(joins[0])) {
+        throw InterpretError("fork " + id +
                              ": branches reach different joins ('" +
-                             joins[0] + "' vs '" + joins[i] + "')");
+                             join_id(joins[0]) + "' vs '" +
+                             join_id(joins[i]) + "')");
       }
     }
-    if (joins.empty() || joins[0].empty()) {
-      throw InterpretError("fork " + node.id() +
-                           ": branches do not reach a join");
+    if (joins.empty() || join_id(joins[0]).empty()) {
+      throw InterpretError("fork " + id + ": branches do not reach a join");
     }
     *join_out = joins[0];
   }
 
-  sim::Process execute_action(ModelContext ctx, const Node& node,
+  sim::Process execute_action(ModelContext ctx, const NodePrograms& programs,
                               Scope& scope) {
-    const NodePrograms& programs = program->at(node);
+    const Node& node = *programs.node;
     run_fragment(programs, node, scope, ctx);
     const int uid = programs.uid;
     const std::string& stereotype = node.stereotype();
@@ -385,8 +388,8 @@ struct Interpreter::Impl final : expr::UserFunctions {
       if (programs.cost().has_value()) {
         cost = eval_tag(programs.cost(), uml::tag::kCost, node, uid, scope,
                         ctx);
-      } else if (auto time = node.tag_number(uml::tag::kTime)) {
-        cost = *time;
+      } else if (programs.time.has_value()) {
+        cost = *programs.time;
       }
       workload::ActionPlus element(ctx, node.name());
       co_await element.execute(uid, ctx.pid, ctx.tid, cost);
@@ -395,8 +398,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
           programs.dest(), uml::tag::kDest, node, uid, scope, ctx));
       const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
                                     uid, scope, ctx);
-      const int tag = static_cast<int>(
-          node.tag_number(uml::tag::kMsgTag).value_or(0));
+      const int tag = static_cast<int>(programs.msg_tag);
       workload::SendElement element(ctx, node.name());
       co_await element.execute(uid, ctx.pid, ctx.tid, dest, bytes, tag);
     } else if (stereotype == uml::stereo::kRecv) {
@@ -404,8 +406,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
           programs.source(), uml::tag::kSource, node, uid, scope, ctx));
       const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
                                     uid, scope, ctx);
-      const int tag = static_cast<int>(
-          node.tag_number(uml::tag::kMsgTag).value_or(0));
+      const int tag = static_cast<int>(programs.msg_tag);
       workload::RecvElement element(ctx, node.name());
       co_await element.execute(uid, ctx.pid, ctx.tid, source, bytes, tag);
     } else if (stereotype == uml::stereo::kBarrier) {
@@ -418,11 +419,9 @@ struct Interpreter::Impl final : expr::UserFunctions {
                stereotype == uml::stereo::kGather) {
       const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
                                     uid, scope, ctx);
-      const int root =
-          node.has_tag(uml::tag::kRoot)
-              ? static_cast<int>(eval_tag(programs.root(), uml::tag::kRoot,
-                                          node, uid, scope, ctx))
-              : 0;
+      // An absent or empty `root` evaluates to rank 0.
+      const int root = static_cast<int>(
+          eval_tag(programs.root(), uml::tag::kRoot, node, uid, scope, ctx));
       workload::CollectiveElement element(ctx, node.name(),
                                           collective_kind(stereotype));
       co_await element.execute(uid, ctx.pid, ctx.tid, bytes, root);
@@ -431,15 +430,10 @@ struct Interpreter::Impl final : expr::UserFunctions {
           programs.iterations(), uml::tag::kIterations, node, uid, scope, ctx);
       const double itercost = eval_tag(
           programs.itercost(), uml::tag::kIterCost, node, uid, scope, ctx);
-      std::string schedule = node.tag_string(uml::tag::kSchedule);
-      if (schedule.empty()) {
-        schedule = "static";
-      }
-      const auto chunk = static_cast<std::int64_t>(
-          node.tag_number(uml::tag::kChunk).value_or(0));
+      const auto chunk = static_cast<std::int64_t>(programs.chunk);
       workload::WorkshareElement element(ctx, node.name());
       co_await element.execute(uid, ctx.pid, ctx.tid, iterations, itercost,
-                               schedule, chunk);
+                               *programs.schedule, chunk);
     } else if (stereotype == uml::stereo::kOmpBarrier) {
       workload::OmpBarrierElement element(ctx, node.name());
       co_await element.execute(uid, ctx.pid, ctx.tid);
@@ -466,12 +460,12 @@ struct Interpreter::Impl final : expr::UserFunctions {
     return workload::CollectiveKind::Gather;
   }
 
-  sim::Process execute_activity(ModelContext ctx, const Node& node,
-                                Scope& scope) {
-    const NodePrograms& programs = program->at(node);
+  sim::Process execute_activity(ModelContext ctx,
+                                const NodePrograms& programs, Scope& scope) {
+    const Node& node = *programs.node;
     run_fragment(programs, node, scope, ctx);
     const int uid = programs.uid;
-    const ActivityDiagram* sub = model->diagram(node.subdiagram_id());
+    const DiagramProgram* sub = programs.subdiagram;
     const std::string& stereotype = node.stereotype();
     if (stereotype == uml::stereo::kOmpParallel) {
       const int threads =
@@ -487,11 +481,8 @@ struct Interpreter::Impl final : expr::UserFunctions {
             return run_diagram(tctx, *sub, body_scope);
           });
     } else if (stereotype == uml::stereo::kOmpCritical) {
-      std::string lock = node.tag_string(uml::tag::kCriticalName);
-      if (lock.empty()) {
-        lock = "default";
-      }
-      workload::CriticalElement element(ctx, node.name(), lock);
+      workload::CriticalElement element(ctx, node.name(),
+                                        *programs.critical_name);
       Scope body_scope = scope;
       ModelContext body_ctx = ctx;
       co_await element.execute(uid, ctx.pid, ctx.tid,
@@ -510,11 +501,11 @@ struct Interpreter::Impl final : expr::UserFunctions {
     }
   }
 
-  sim::Process execute_loop(ModelContext ctx, const Node& node,
+  sim::Process execute_loop(ModelContext ctx, const NodePrograms& programs,
                             Scope& scope) {
-    const NodePrograms& programs = program->at(node);
+    const Node& node = *programs.node;
     run_fragment(programs, node, scope, ctx);
-    const ActivityDiagram* body = model->diagram(node.subdiagram_id());
+    const DiagramProgram& body = *programs.subdiagram;
     const double raw = eval_tag(programs.iterations(), uml::tag::kIterations,
                                 node, programs.uid, scope, ctx);
     if (std::isnan(raw) || raw < 0) {
@@ -536,7 +527,7 @@ struct Interpreter::Impl final : expr::UserFunctions {
         budget->charge_loop_trips(1, "interp-loop");
       }
       loop_value = static_cast<double>(k);
-      co_await run_diagram(ctx, *body, iteration_scope);
+      co_await run_diagram(ctx, body, iteration_scope);
     }
   }
 };

@@ -1,7 +1,13 @@
 #include "prophet/lower/lower.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "prophet/expr/eval.hpp"
@@ -100,6 +106,51 @@ expr::ExprPtr parse_checked(const std::string& text,
   }
 }
 
+/// The value of the tag `name` on `element`, or null (Element::tag
+/// without the copy).
+const uml::TagValue* find_tag(const uml::Element& element,
+                              std::string_view name) {
+  for (const auto& tagged : element.tags()) {
+    if (tagged.name == name) {
+      return &tagged.value;
+    }
+  }
+  return nullptr;
+}
+
+/// A tag value read as a number, like Element::tag_number().
+std::optional<double> number_of(const uml::TagValue* value) {
+  if (value == nullptr) {
+    return std::nullopt;
+  }
+  if (const auto* real = std::get_if<double>(value)) {
+    return *real;
+  }
+  if (const auto* integer = std::get_if<std::int64_t>(value)) {
+    return static_cast<double>(*integer);
+  }
+  return std::nullopt;
+}
+
+/// Orders (pointer, value) index entries by pointer.
+constexpr auto by_key = [](const auto& a, const auto& b) {
+  return std::less<>{}(a.first, b.first);
+};
+
+/// The entry of a by_key-sorted index for `key`, or null.
+template <typename Index, typename Key>
+auto lookup(const Index& index, const Key* key)
+    -> decltype(index.front().second) {
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), key, [](const auto& entry, const Key* k) {
+        return std::less<>{}(entry.first, k);
+      });
+  if (it == index.end() || it->first != key) {
+    return nullptr;
+  }
+  return it->second;
+}
+
 }  // namespace
 
 std::optional<TagKind> tag_kind(std::string_view name) {
@@ -135,6 +186,26 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     ++stats_.expr_programs;
     stats_.bytecode_bytes += program.size() * sizeof(expr::Instr);
     return program;
+  };
+
+  // Diagram lookup by id, first match winning like Model::diagram().
+  std::unordered_map<std::string_view, std::size_t> diagram_ids;
+  diagram_ids.reserve(m.diagrams().size());
+  std::size_t node_total = 0;
+  std::size_t edge_total = 0;
+  for (std::size_t d = 0; d < m.diagrams().size(); ++d) {
+    const auto& diagram = *m.diagrams()[d];
+    diagram_ids.emplace(diagram.id(), d);
+    node_total += diagram.node_count();
+    edge_total += diagram.edge_count();
+  }
+  const auto find_diagram =
+      [&diagram_ids](std::string_view id) -> std::optional<std::size_t> {
+    const auto it = diagram_ids.find(id);
+    if (it == diagram_ids.end()) {
+      return std::nullopt;
+    }
+    return it->second;
   };
 
   // ---- Phase 1: parse (error order matches the historical builds).
@@ -175,7 +246,8 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     }
   }
   int next = 1;
-  std::map<const uml::ControlFlow*, expr::ExprPtr> parsed_guards;
+  // Guards in diagram edge order (the order Phase 4 resolves them in).
+  std::vector<expr::ExprPtr> parsed_guards;
   for (const auto& diagram : m.diagrams()) {
     for (const auto& node : diagram->nodes()) {
       if (uids_.find(node->id()) == uids_.end()) {
@@ -188,9 +260,8 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     }
     for (const auto& edge : diagram->edges()) {
       if (edge->has_guard() && !edge->is_else()) {
-        parsed_guards.emplace(edge.get(),
-                              parse_checked(edge->guard(),
-                                            "guard of edge " + edge->id()));
+        parsed_guards.push_back(
+            parse_checked(edge->guard(), "guard of edge " + edge->id()));
       }
     }
   }
@@ -198,10 +269,17 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     TagKind kind = TagKind::Cost;
     expr::ExprPtr value;
   };
-  std::map<const Node*, std::vector<ParsedTag>> parsed_tags;
-  std::map<const Node*, std::vector<Assignment>> parsed_fragments;
+  // Per node, in diagram order then node order (the nodes_ order).
+  struct ParsedNode {
+    std::vector<ParsedTag> tags;
+    std::vector<Assignment> fragment;
+  };
+  std::vector<ParsedNode> parsed_nodes(node_total);
+  std::size_t tag_total = 0;
+  std::size_t position = 0;
   for (const auto& diagram : m.diagrams()) {
     for (const auto& node : diagram->nodes()) {
+      ParsedNode& parsed = parsed_nodes[position++];
       for (const auto name : uml::expression_tags(node->stereotype())) {
         if (!node->has_tag(name)) {
           continue;
@@ -210,31 +288,32 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
         if (text.empty()) {
           continue;
         }
-        expr::ExprPtr parsed =
+        expr::ExprPtr value =
             parse_checked(text, "tag '" + std::string(name) + "' of node " +
                                     node->id());
         if (const auto kind = tag_kind(name)) {
-          parsed_tags[node.get()].push_back({*kind, std::move(parsed)});
+          parsed.tags.push_back({*kind, std::move(value)});
+          ++tag_total;
         }
       }
       if (node->has_tag(uml::tag::kCode)) {
         const std::string code = node->tag_string(uml::tag::kCode);
         if (!code.empty()) {
-          parsed_fragments.emplace(
-              node.get(), parse_code_fragment(code, "node " + node->id()));
+          parsed.fragment = parse_code_fragment(code, "node " + node->id());
         }
       }
       // Composite nodes must reference existing diagrams.
       if ((node->kind() == NodeKind::Activity ||
            node->kind() == NodeKind::Loop) &&
-          m.diagram(node->subdiagram_id()) == nullptr) {
+          !find_diagram(node->subdiagram_id()).has_value()) {
         throw LowerError("node " + node->id() +
                          " references unknown diagram '" +
                          node->subdiagram_id() + "'");
       }
     }
   }
-  if (m.main_diagram() == nullptr) {
+  const auto main_index = find_diagram(m.main_diagram_id());
+  if (!main_index.has_value()) {
     throw LowerError("model has no resolvable main diagram");
   }
 
@@ -293,62 +372,184 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
     }
     functions_.push_back(compile_timed(*parsed.body, fn_table));
   }
-  for (auto& [edge, guard] : parsed_guards) {
-    guards_.emplace(edge, compile_timed(*guard, node_table_));
+  guard_programs_.reserve(parsed_guards.size());
+  for (const auto& guard : parsed_guards) {
+    guard_programs_.push_back(compile_timed(*guard, node_table_));
   }
+  // Exact reservations: NodePrograms::tags and the resolved control flow
+  // point into these vectors, so they must never reallocate.
+  nodes_.reserve(node_total);
+  tag_programs_.reserve(tag_total);
+  position = 0;
   for (const auto& diagram : m.diagrams()) {
     for (const auto& node : diagram->nodes()) {
+      ParsedNode& parsed = parsed_nodes[position++];
       NodePrograms programs;
+      programs.node = node.get();
+      programs.kind = node->kind();
       programs.uid = uids_.at(node->id());
       if (node->kind() == NodeKind::Loop) {
         programs.loop_var_slot = *base.slot_of(loop_var_name(*node));
       }
-      if (const auto tags = parsed_tags.find(node.get());
-          tags != parsed_tags.end()) {
-        for (auto& [kind, value] : tags->second) {
-          programs.tags[static_cast<std::size_t>(kind)] =
-              compile_timed(*value, node_table_);
-        }
+      for (auto& [kind, value] : parsed.tags) {
+        tag_programs_.emplace_back(compile_timed(*value, node_table_));
+        programs.tags[static_cast<std::size_t>(kind)] = &tag_programs_.back();
       }
-      if (const auto fragment = parsed_fragments.find(node.get());
-          fragment != parsed_fragments.end()) {
-        for (auto& assignment : fragment->second) {
-          CompiledAssignment compiled;
-          compiled.name = assignment.target;
-          compiled.value = compile_timed(*assignment.value, node_table_);
-          // Static write-target resolution: the tree walker consulted
-          // the per-process locals map first, then the globals map —
-          // both hold exactly the declared variables of that scope.
-          bool local = false;
-          bool global = false;
-          for (const auto& variable : m.variables()) {
-            if (variable.name != assignment.target) {
-              continue;
-            }
-            local = local || variable.scope == uml::VariableScope::Local;
-            global = global || variable.scope == uml::VariableScope::Global;
+      for (auto& assignment : parsed.fragment) {
+        CompiledAssignment compiled;
+        compiled.name = assignment.target;
+        compiled.value = compile_timed(*assignment.value, node_table_);
+        // Static write-target resolution: the tree walker consulted
+        // the per-process locals map first, then the globals map —
+        // both hold exactly the declared variables of that scope.
+        bool local = false;
+        bool global = false;
+        for (const auto& variable : m.variables()) {
+          if (variable.name != assignment.target) {
+            continue;
           }
-          if (local || global) {
-            compiled.target = local ? CompiledAssignment::Target::Local
-                                    : CompiledAssignment::Target::Global;
-            compiled.slot = *base.slot_of(assignment.target);
-          }
-          if (const uml::Variable* declared =
-                  m.variable(assignment.target)) {
-            compiled.coerce_int =
-                declared->type == uml::VariableType::Integer;
-          }
-          ++stats_.fragment_assignments;
-          programs.fragment.push_back(std::move(compiled));
+          local = local || variable.scope == uml::VariableScope::Local;
+          global = global || variable.scope == uml::VariableScope::Global;
         }
+        if (local || global) {
+          compiled.target = local ? CompiledAssignment::Target::Local
+                                  : CompiledAssignment::Target::Global;
+          compiled.slot = *base.slot_of(assignment.target);
+        }
+        if (const uml::Variable* declared = m.variable(assignment.target)) {
+          compiled.coerce_int = declared->type == uml::VariableType::Integer;
+        }
+        ++stats_.fragment_assignments;
+        programs.fragment.push_back(std::move(compiled));
       }
-      nodes_.emplace(node.get(), std::move(programs));
+      nodes_.push_back(std::move(programs));
     }
   }
+  node_index_.reserve(nodes_.size());
+  for (const auto& programs : nodes_) {
+    node_index_.emplace_back(programs.node, &programs);
+  }
+  std::sort(node_index_.begin(), node_index_.end(), by_key);
+
+  // ---- Phase 4: resolve control flow.  Every lookup a walker would
+  // otherwise make by id string happens here, once, with one id -> node
+  // index per diagram: O(nodes + edges) per diagram.
+  const std::string* const default_schedule =
+      &*names_.emplace("static").first;
+  const std::string* const default_lock = &*names_.emplace("default").first;
+  const auto intern = [this](const uml::Node& node, std::string_view name,
+                             const std::string* fallback) {
+    const auto* text = std::get_if<std::string>(find_tag(node, name));
+    if (text == nullptr || text->empty()) {
+      return fallback;
+    }
+    auto it = names_.find(*text);
+    if (it == names_.end()) {
+      it = names_.insert(*text).first;
+    }
+    return &*it;
+  };
+  diagrams_.resize(m.diagrams().size());
+  main_ = &diagrams_[*main_index];
+  edges_.reserve(edge_total);
+  guard_index_.reserve(guard_programs_.size());
+  std::size_t guard_cursor = 0;
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  std::vector<std::uint32_t> holder;     // node -> first node with its id
+  std::vector<std::uint32_t> source_of;  // edge -> source holder or kNone
+  std::vector<std::uint32_t> begin;      // holder -> first edge slot
+  std::vector<std::uint32_t> fill;
+  NodePrograms* local = nodes_.data();
+  for (std::size_t d = 0; d < m.diagrams().size(); ++d) {
+    const uml::ActivityDiagram& diagram = *m.diagrams()[d];
+    const auto& nodes = diagram.nodes();
+    const auto& edges = diagram.edges();
+    const auto count = static_cast<std::uint32_t>(nodes.size());
+    DiagramProgram& resolved = diagrams_[d];
+    resolved.diagram = &diagram;
+    ids.clear();
+    ids.reserve(count);
+    holder.resize(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      // The first node holding an id wins, like ActivityDiagram::node().
+      holder[i] = ids.emplace(nodes[i]->id(), i).first->second;
+      if (resolved.initial == nullptr &&
+          nodes[i]->kind() == NodeKind::Initial) {
+        resolved.initial = &local[i];
+      }
+    }
+    const auto find = [&ids](std::string_view id) {
+      const auto it = ids.find(id);
+      return it == ids.end() ? kNone : it->second;
+    };
+    // Counting sort of the edges by source, stable in edge order: a
+    // node's outgoing edges are one contiguous range, in the order
+    // ActivityDiagram::outgoing() lists them.
+    begin.assign(count + 1, 0);
+    source_of.resize(edges.size());
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      source_of[e] = find(edges[e]->source());
+      if (source_of[e] != kNone) {
+        ++begin[source_of[e] + 1];
+      }
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      begin[i + 1] += begin[i];
+    }
+    fill.assign(begin.begin(), begin.end() - 1);
+    const std::size_t first = edges_.size();
+    edges_.resize(first + begin[count]);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const uml::ControlFlow& flow = *edges[e];
+      const expr::Compiled* guard = nullptr;
+      if (flow.has_guard() && !flow.is_else()) {
+        guard = &guard_programs_[guard_cursor++];
+        guard_index_.emplace_back(&flow, guard);
+      }
+      if (source_of[e] == kNone) {
+        continue;  // no node has this source id: never walked
+      }
+      ControlEdge& out = edges_[first + fill[source_of[e]]++];
+      out.flow = &flow;
+      if (const auto target = find(flow.target()); target != kNone) {
+        out.target = nodes[target].get();
+        out.to = &local[target];
+      }
+      out.guard = guard;
+      out.is_else = flow.is_else();
+      if (const auto prob = number_of(find_tag(flow, uml::tag::kProb))) {
+        out.prob = *prob;
+        out.has_prob = true;
+      }
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const Node& node = *nodes[i];
+      NodePrograms& programs = local[i];
+      const std::uint32_t h = holder[i];
+      programs.edges = std::span<const ControlEdge>(
+          edges_.data() + first + begin[h], begin[h + 1] - begin[h]);
+      programs.probabilistic =
+          std::any_of(programs.edges.begin(), programs.edges.end(),
+                      [](const ControlEdge& edge) { return edge.has_prob; });
+      if (node.kind() == NodeKind::Activity || node.kind() == NodeKind::Loop) {
+        programs.subdiagram = &diagrams_[*find_diagram(node.subdiagram_id())];
+      }
+      programs.time = number_of(find_tag(node, uml::tag::kTime));
+      programs.msg_tag =
+          number_of(find_tag(node, uml::tag::kMsgTag)).value_or(0);
+      programs.chunk = number_of(find_tag(node, uml::tag::kChunk)).value_or(0);
+      programs.schedule = intern(node, uml::tag::kSchedule, default_schedule);
+      programs.critical_name =
+          intern(node, uml::tag::kCriticalName, default_lock);
+    }
+    local += count;
+  }
+  std::sort(guard_index_.begin(), guard_index_.end(), by_key);
 
   stats_.nodes = nodes_.size();
   stats_.slots = nslots_;
-  stats_.guards = guards_.size();
+  stats_.guards = guard_programs_.size();
   stats_.functions = functions_.size();
   stats_.variables = variables_.size();
 }
@@ -361,10 +562,18 @@ std::optional<int> ModelProgram::function_id(std::string_view name) const {
   return it->second;
 }
 
+const NodePrograms& ModelProgram::at(const uml::Node& node) const {
+  const NodePrograms* programs = lookup(node_index_, &node);
+  if (programs == nullptr) {
+    throw std::out_of_range("node " + node.id() +
+                            " is not part of the lowered model");
+  }
+  return *programs;
+}
+
 const expr::Compiled* ModelProgram::guard(
     const uml::ControlFlow& edge) const {
-  const auto it = guards_.find(&edge);
-  return it == guards_.end() ? nullptr : &it->second;
+  return lookup(guard_index_, &edge);
 }
 
 int ModelProgram::uid_of(const std::string& node_id) const {
@@ -381,9 +590,9 @@ ModelProgramPtr lower(const uml::Model& model) {
 
 ModelProgramPtr lower(uml::Model&& model) {
   // Lower first (borrowing), then move the model in.  The lowered state
-  // keys nodes and edges by pointer; both are heap-allocated and owned
-  // through the model's diagram list, so they are stable across the
-  // move, and re-pointing the model itself after the move is safe.
+  // points at nodes, edges and diagrams; all are heap-allocated and
+  // owned through the model's diagram list, so they are stable across
+  // the move, and re-pointing the model itself after the move is safe.
   auto program = std::make_shared<ModelProgram>(model);
   program->owned_.emplace(std::move(model));
   program->model_ = &*program->owned_;

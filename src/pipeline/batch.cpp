@@ -1226,18 +1226,22 @@ BatchReport BatchRunner::run() const {
 
   // Lane chunking (cached mode): consecutive same-model jobs grouped up
   // to the batch width evaluate through one PreparedModel::estimate_batch
-  // call per chunk.  Chunks form only on the unlimited fast path —
-  // per-job limits, timeouts and fault plans need per-job budgets, and a
-  // model's representative trace job needs its own estimate call —
-  // everything else stays a singleton.  A sweep deadline/cancellation
-  // does NOT disable chunking: it is checked between chunks, and a
-  // mid-chunk trip falls back to the per-lane path.
+  // call per chunk.  Chunks form only when the analytic estimator runs —
+  // the one backend whose estimate_batch is vectorized; the others'
+  // is the scalar loop, and a chunk would only smear one wall time over
+  // its jobs — and only on the unlimited fast path: per-job limits,
+  // timeouts and fault plans need per-job budgets, and a model's
+  // representative trace job needs its own estimate call.  Everything
+  // else stays a singleton.  A sweep deadline/cancellation does NOT
+  // disable chunking: it is checked between chunks, and a mid-chunk trip
+  // falls back to the per-lane path.
   struct Chunk {
     std::size_t begin = 0;
     std::size_t size = 1;
   };
   const int lanes = options_.batch_lanes == 0 ? 8 : options_.batch_lanes;
   const bool batching = !options_.isolate_jobs && lanes >= 2 &&
+                        estimator::backends_of(options_.backend).analytic &&
                         !job_limits(options_).any() &&
                         options_.fault_plan == nullptr;
   std::vector<Chunk> chunks;

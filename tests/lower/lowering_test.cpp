@@ -5,6 +5,7 @@
 // prepared from a model or from a shared lowering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -143,6 +144,156 @@ TEST(ModelProgram, LoweringErrorsCarryTheBackendMessageText) {
         std::string::npos)
         << error.what();
   }
+}
+
+// --- Resolved control flow ----------------------------------------------------
+
+/// Checks every resolved field of `program` against the AST queries the
+/// walkers used to make at evaluation time.
+void expect_control_flow_matches_ast(const uml::Model& model,
+                                     const lower::ModelProgram& program,
+                                     const std::string& label) {
+  const auto& main = program.main_diagram();
+  EXPECT_EQ(main.diagram, model.main_diagram()) << label;
+  for (const auto& diagram : model.diagrams()) {
+    for (const auto& node : diagram->nodes()) {
+      const std::string where = label + " node " + node->id();
+      const lower::NodePrograms& programs = program.at(*node);
+      EXPECT_EQ(programs.node, node.get()) << where;
+      EXPECT_EQ(programs.kind, node->kind()) << where;
+
+      // Edges: the order, else flags, guards and targets outgoing()
+      // and node() give.
+      const auto outgoing = diagram->outgoing(node->id());
+      ASSERT_EQ(programs.edges.size(), outgoing.size()) << where;
+      bool any_prob = false;
+      for (std::size_t i = 0; i < outgoing.size(); ++i) {
+        const lower::ControlEdge& edge = programs.edges[i];
+        EXPECT_EQ(edge.flow, outgoing[i]) << where << " edge " << i;
+        EXPECT_EQ(edge.is_else, outgoing[i]->is_else()) << where;
+        EXPECT_EQ(edge.guard, program.guard(*outgoing[i])) << where;
+        const uml::Node* target = diagram->node(outgoing[i]->target());
+        EXPECT_EQ(edge.target, target) << where;
+        if (target == nullptr) {
+          EXPECT_EQ(edge.to, nullptr) << where;
+        } else {
+          EXPECT_EQ(edge.to, &program.at(*target)) << where;
+        }
+        const auto prob = outgoing[i]->tag_number(uml::tag::kProb);
+        EXPECT_EQ(edge.has_prob, prob.has_value()) << where;
+        if (prob.has_value()) {
+          EXPECT_EQ(edge.prob, *prob) << where;
+          any_prob = true;
+        }
+      }
+      EXPECT_EQ(programs.probabilistic, any_prob) << where;
+
+      // Subdiagram and its entry node.
+      if (node->kind() == uml::NodeKind::Activity ||
+          node->kind() == uml::NodeKind::Loop) {
+        const uml::ActivityDiagram* sub = model.diagram(node->subdiagram_id());
+        ASSERT_NE(programs.subdiagram, nullptr) << where;
+        EXPECT_EQ(programs.subdiagram->diagram, sub) << where;
+        if (sub->initial() == nullptr) {
+          EXPECT_EQ(programs.subdiagram->initial, nullptr) << where;
+        } else {
+          EXPECT_EQ(programs.subdiagram->initial, &program.at(*sub->initial()))
+              << where;
+        }
+      } else {
+        EXPECT_EQ(programs.subdiagram, nullptr) << where;
+      }
+
+      // Constant tags.
+      EXPECT_EQ(programs.time, node->tag_number(uml::tag::kTime)) << where;
+      EXPECT_EQ(programs.msg_tag,
+                node->tag_number(uml::tag::kMsgTag).value_or(0))
+          << where;
+      EXPECT_EQ(programs.chunk, node->tag_number(uml::tag::kChunk).value_or(0))
+          << where;
+      const std::string schedule = node->tag_string(uml::tag::kSchedule);
+      ASSERT_NE(programs.schedule, nullptr) << where;
+      EXPECT_EQ(*programs.schedule, schedule.empty() ? "static" : schedule)
+          << where;
+      const std::string lock = node->tag_string(uml::tag::kCriticalName);
+      ASSERT_NE(programs.critical_name, nullptr) << where;
+      EXPECT_EQ(*programs.critical_name, lock.empty() ? "default" : lock)
+          << where;
+    }
+  }
+}
+
+TEST(ResolvedControlFlow, MatchesTheAstOnEveryRegistryModel) {
+  for (const auto& entry : models::Registry::builtin().entries()) {
+    const uml::Model model = entry.make();
+    const auto program = lower::lower(model);
+    expect_control_flow_matches_ast(model, *program, entry.name);
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const uml::Model model = models::random_model(seed, 60);
+    const auto program = lower::lower(model);
+    expect_control_flow_matches_ast(model, *program,
+                                    "random " + std::to_string(seed));
+  }
+}
+
+TEST(ResolvedControlFlow, MatchesTheAstOnMalformedGraphs) {
+  // Tags of every pre-read kind, probabilities, a dangling edge, an edge
+  // whose source is no node, an edge-less node and a shared node id —
+  // the cases where resolution by id could go wrong.
+  uml::ModelBuilder mb("M");
+  uml::DiagramBuilder body = mb.diagram("body");
+  uml::NodeRef body_init = body.initial();
+  uml::NodeRef work = body.omp_for("Work", "16", "1e-3", "dynamic", 4);
+  uml::NodeRef body_fin = body.final_node();
+  body.sequence({body_init, work, body_fin});
+  uml::DiagramBuilder empty = mb.diagram("empty");
+  empty.final_node();
+  uml::DiagramBuilder d = mb.diagram("main");
+  uml::NodeRef init = d.initial();
+  uml::NodeRef dec = d.decision();
+  uml::NodeRef a = d.action("A").cost("1");
+  uml::NodeRef b = d.action("B");
+  b.time(2.5);
+  uml::NodeRef merge = d.merge();
+  uml::NodeRef crit = d.omp_critical("Crit", body, "lock");
+  uml::NodeRef act = d.activity("Empty", empty);
+  uml::NodeRef fin = d.final_node();
+  d.flow(init, dec);
+  d.flow(dec, a, "pid > 0").prob(0.25);
+  d.flow(dec, b, "else");
+  d.flow(a, merge);
+  d.flow(b, merge);
+  d.flow(merge, crit);
+  d.flow(crit, act);
+  d.flow(act, fin);
+  uml::Model model = std::move(mb).build();
+  model.set_main_diagram(d.id());
+  uml::ActivityDiagram& main = *model.diagram(d.id());
+  main.add_edge(std::make_unique<uml::ControlFlow>("dangling", a.id(),
+                                                   "nowhere"));
+  main.add_edge(std::make_unique<uml::ControlFlow>("sourceless", "nowhere",
+                                                   fin.id()));
+  main.add_node(std::make_unique<uml::Node>(b.id(), "Twin",
+                                            uml::NodeKind::Action));
+  main.add_node(std::make_unique<uml::Node>("lonely", "Lonely",
+                                            uml::NodeKind::Merge));
+  const auto program = lower::lower(model);
+  expect_control_flow_matches_ast(model, *program, "malformed");
+
+  // Spot checks of what the generic comparison covers.
+  const lower::NodePrograms& decision = program->at(dec.node());
+  EXPECT_TRUE(decision.probabilistic);
+  EXPECT_EQ(program->at(a.node()).edges.size(), 2u);
+  EXPECT_EQ(program->at(a.node()).edges[1].to, nullptr);
+  EXPECT_EQ(*program->at(work.node()).schedule, "dynamic");
+  EXPECT_EQ(program->at(work.node()).chunk, 4.0);
+  EXPECT_EQ(*program->at(crit.node()).critical_name, "lock");
+  EXPECT_EQ(program->at(b.node()).time, 2.5);
+  EXPECT_EQ(program->at(act.node()).subdiagram->initial, nullptr);
+  // The twin shares b's id, so it shares b's outgoing edges.
+  const uml::Node& twin = *main.nodes()[main.nodes().size() - 2];
+  EXPECT_EQ(program->at(twin).edges.data(), program->at(b.node()).edges.data());
 }
 
 // --- One lowering behind every backend ---------------------------------------

@@ -125,6 +125,53 @@ TEST(BatchLanes, MetricsReportBatchWidthAndBatchedEvals) {
   EXPECT_EQ(report.metrics.gauge_value("expr.batch_width"), 8.0);
 }
 
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(BatchLanes, OnlyAnalyticSweepsFormChunks) {
+  // Only the analytic estimator has a vectorized estimate_batch; the
+  // simulator's is the scalar loop, so a chunk would only split one
+  // wall time over its jobs.  Sim-only sweeps estimate job by job.
+  const auto traced_sweep = [](BackendKind backend) {
+    BatchOptions options;
+    options.threads = 1;
+    options.backend = backend;
+    options.run_codegen = false;
+    options.collect_metrics = true;
+    options.collect_trace = true;
+    BatchRunner runner(options);
+    const int index = runner.add_model_reference("@kernel6");
+    runner.add_sweep(index, ScenarioGrid::parse("np=1..16"));
+    return runner.run();
+  };
+  const std::string estimate_span = R"("cat":"host.estimate")";
+
+  const BatchReport sim = traced_sweep(BackendKind::Simulation);
+  ASSERT_EQ(sim.results.size(), 16u);
+  for (const auto& result : sim.results) {
+    ASSERT_TRUE(result.ok) << result.error;
+  }
+  EXPECT_EQ(count_of(sim.trace.to_chrome_json(), estimate_span), 16u);
+  EXPECT_EQ(sim.metrics.to_json().find("expr.batch_width"),
+            std::string::npos);
+
+  // The analytic sweep of the same grid still chunks: 16 jobs in two
+  // chunks of 8 lanes.
+  const BatchReport analytic = traced_sweep(BackendKind::Analytic);
+  for (const auto& result : analytic.results) {
+    ASSERT_TRUE(result.ok) << result.error;
+  }
+  EXPECT_EQ(count_of(analytic.trace.to_chrome_json(), estimate_span), 2u);
+  EXPECT_EQ(analytic.metrics.gauge_value("expr.batch_width"), 8.0);
+}
+
 TEST(BatchLanes, PerJobLimitsDisableChunking) {
   // Per-job guard budgets need per-job attribution (tripped_limit per
   // lane), so active limits force the singleton path — and results stay

@@ -38,10 +38,10 @@
 // (parse, check, transform, prepare) and evaluate all its scenarios
 // against the cached result; --isolate restores the
 // re-run-everything-per-job pipeline.  Predictions are bit-identical
-// either way.  --batch-lanes sets the sweep's lane width: same-model
-// scenario runs are grouped into chunks of N and evaluated through the
-// backends' batched path (0, the default, picks the width
-// automatically; 1 disables batching).  Batched and scalar sweeps are
+// either way.  --batch-lanes sets the sweep's lane width: when the
+// analytic backend runs, same-model scenario runs are grouped into
+// chunks of N and evaluated through the backends' batched path (0, the
+// default, picks the width automatically; 1 disables batching).  Batched and scalar sweeps are
 // bit-identical on every deterministic CSV column.  estimate --timings
 // reports the prepare/evaluate split, including the time prepare spent
 // compiling cost expressions to bytecode.
