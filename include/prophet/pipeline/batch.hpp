@@ -114,8 +114,9 @@ struct ScenarioResult {
   /// \name Per-stage host times (seconds)
   /// In cached runs parse/check/transform happen once per model during
   /// the batch prepare phase (BatchReport::prepare_seconds), so those
-  /// three stay 0 per job and estimate_seconds ~= wall_seconds; in
-  /// isolated runs every stage is paid — and visible — per job.
+  /// three stay 0 per job and estimate_seconds ~= wall_seconds (the
+  /// batch.*_seconds timers count the one-time cost); in isolated runs
+  /// every stage is paid — and visible — per job.
   ///@{
   double parse_seconds = 0;      ///< XMI parse time.
   double check_seconds = 0;      ///< Model-check time.
@@ -392,7 +393,7 @@ class BatchRunner {
 
   /// The per-model stage chain both modes share: parse -> check ->
   /// transform.  Returns a stage-prefixed error ("" on success); stage
-  /// timings land in the out-params (pass nullptr to skip timing).
+  /// timings land in the out-params.
   [[nodiscard]] std::string run_model_stages(
       std::size_t model_index, uml::Model* model, std::size_t* warnings,
       std::size_t* generated_bytes, double* parse_seconds,

@@ -1,16 +1,19 @@
 #include "prophet/cgen/emitter.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "prophet/cgen/abi.hpp"
+#include "prophet/uml/index.hpp"
 #include "prophet/uml/model.hpp"
 
 namespace prophet::cgen {
@@ -413,16 +416,10 @@ std::string emit_expr(const expr::Compiled& program, const ExprEnv& env,
 class Emitter {
  public:
   explicit Emitter(const lower::ModelProgram& program)
-      : program_(program), model_(program.model()) {
+      : program_(program), model_(program.model()), graphs_(model_) {
     const auto& diagrams = model_.diagrams();
     for (std::size_t d = 0; d < diagrams.size(); ++d) {
-      const ActivityDiagram* diagram = diagrams[d].get();
-      diagram_index_[diagram->id()] = static_cast<int>(d);
-      auto& nodes = node_index_[diagram];
-      const auto& list = diagram->nodes();
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        nodes[list[i]->id()] = static_cast<int>(i);
-      }
+      diagram_index_[diagrams[d]->id()] = static_cast<int>(d);
     }
   }
 
@@ -459,11 +456,16 @@ class Emitter {
     return env;
   }
 
-  [[nodiscard]] int node_index(const ActivityDiagram& diagram,
-                               std::string_view id) const {
-    const auto& nodes = node_index_.at(&diagram);
-    const auto it = nodes.find(std::string(id));
-    return it == nodes.end() ? -1 : it->second;
+  /// The generated walker's index of an edge's target node: its ordinal
+  /// in the diagram, -1 when the edge dangles.
+  [[nodiscard]] static int target_index(const uml::DiagramIndex::Link& link) {
+    return link.to == uml::DiagramIndex::npos ? -1
+                                               : static_cast<int>(link.to);
+  }
+
+  [[nodiscard]] std::span<const uml::DiagramIndex::Link* const> out_links(
+      const ActivityDiagram& diagram, const Node& node) const {
+    return graphs_.at(diagram).out_links(node.id());
   }
 
   [[nodiscard]] int diagram_of(std::string_view id) const {
@@ -649,7 +651,7 @@ class Emitter {
   /// Successor dispatch for non-decision nodes (interp's next_node).
   void next_node(const ActivityDiagram& diagram, const Node& node,
                  const std::string& indent) {
-    const auto outgoing = diagram.outgoing(node.id());
+    const auto outgoing = out_links(diagram, node);
     if (outgoing.empty()) {
       out_ << indent << "node = -1;  // dead end\n" << indent << "break;\n";
       return;
@@ -661,7 +663,7 @@ class Emitter {
       return;
     }
     out_ << indent
-         << "node = " << node_index(diagram, outgoing[0]->target()) << ";\n"
+         << "node = " << target_index(*outgoing[0]) << ";\n"
          << indent << "break;\n";
   }
 
@@ -669,29 +671,28 @@ class Emitter {
   /// edge order, first else edge as fallback (interp's next_node).
   void decision_dispatch(const ActivityDiagram& diagram, const Node& node,
                          const std::string& indent) {
-    const auto outgoing = diagram.outgoing(node.id());
     const int uid = program_.at(node).uid;
-    const uml::ControlFlow* fallback = nullptr;
-    for (const auto* edge : outgoing) {
-      if (edge->is_else()) {
+    const uml::DiagramIndex::Link* fallback = nullptr;
+    for (const auto* link : out_links(diagram, node)) {
+      if (link->flow->is_else()) {
         if (fallback == nullptr) {
-          fallback = edge;
+          fallback = link;
         }
         continue;
       }
-      const expr::Compiled* guard = program_.guard(*edge);
+      const expr::Compiled* guard = program_.guard(*link->flow);
       if (guard == nullptr) {
         continue;  // unguarded edge out of a decision: never taken
       }
       out_ << indent << "if ((" << emit_expr(*guard, node_env(uid), indent)
            << ") != 0.0) {\n"
            << indent
-           << "  node = " << node_index(diagram, edge->target()) << ";\n"
+           << "  node = " << target_index(*link) << ";\n"
            << indent << "  break;\n" << indent << "}\n";
     }
     if (fallback != nullptr) {
       out_ << indent
-           << "node = " << node_index(diagram, fallback->target()) << ";\n"
+           << "node = " << target_index(*fallback) << ";\n"
            << indent << "break;\n";
     } else {
       out_ << indent << "throw std::runtime_error(\"decision "
@@ -912,7 +913,7 @@ class Emitter {
 
   void fork_case(const ActivityDiagram& diagram, const Node& node, int di,
                  const std::string& indent) {
-    const auto outgoing = diagram.outgoing(node.id());
+    const auto outgoing = out_links(diagram, node);
     const std::size_t branches = outgoing.size();
     if (branches == 0) {
       out_ << indent << "throw std::runtime_error(\"fork "
@@ -927,7 +928,7 @@ class Emitter {
          << indent << "  std::vector<prophet::sim::ProcessRef> branches;\n"
          << indent << "  branches.reserve(" << branches << ");\n";
     for (std::size_t b = 0; b < branches; ++b) {
-      const int target = node_index(diagram, outgoing[b]->target());
+      const int target = target_index(*outgoing[b]);
       if (target < 0) {
         out_ << indent << "  throw std::runtime_error(\"fork "
              << escape(node.id()) << ": dangling edge\");\n";
@@ -960,7 +961,7 @@ class Emitter {
       if (nodes[j]->kind() != NodeKind::Join) {
         continue;
       }
-      const auto after = diagram.outgoing(nodes[j]->id());
+      const auto after = out_links(diagram, *nodes[j]);
       out_ << indent << "  case " << j << ":\n";
       if (after.empty()) {
         out_ << indent << "    co_return;\n";
@@ -969,8 +970,7 @@ class Emitter {
              << escape(nodes[j]->id()) << " has multiple outgoing edges\");\n";
       } else {
         out_ << indent
-             << "    node = " << node_index(diagram, after[0]->target())
-             << ";\n"
+             << "    node = " << target_index(*after[0]) << ";\n"
              << indent << "    break;\n";
       }
     }
@@ -1063,14 +1063,19 @@ class Emitter {
     out_ << "prophet::sim::Process run_d" << di
          << "(prophet::workload::ModelContext ctx, Frame f, double* locals) "
             "{\n";
-    const Node* initial = diagram.initial();
-    if (initial == nullptr) {
+    // The walk starts at the initial node itself (the interpreter's
+    // DiagramProgram::initial), not at whichever node holds its id.
+    const auto initial =
+        std::find_if(nodes.begin(), nodes.end(), [](const auto& candidate) {
+          return candidate->kind() == NodeKind::Initial;
+        });
+    if (initial == nodes.end()) {
       out_ << "  throw std::runtime_error(\"diagram "
            << escape(diagram.id()) << " has no initial node\");\n"
            << "  co_return;  // unreachable; makes this a coroutine\n";
     } else {
       out_ << "  co_await walk_d" << di << "(ctx, f, locals, "
-           << node_index(diagram, initial->id()) << ", nullptr);\n";
+           << initial - nodes.begin() << ", nullptr);\n";
     }
     out_ << "}\n\n";
   }
@@ -1336,9 +1341,8 @@ PROPHET_CGEN_EXPORT std::int32_t prophet_cgen_run(
   const lower::ModelProgram& program_;
   const uml::Model& model_;
   std::ostringstream out_;
+  const uml::ModelIndex graphs_;  // one per emission
   std::map<std::string, int, std::less<>> diagram_index_;
-  std::map<const ActivityDiagram*, std::map<std::string, int, std::less<>>>
-      node_index_;
 };
 
 }  // namespace

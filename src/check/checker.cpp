@@ -4,7 +4,11 @@
 #include <cctype>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "prophet/expr/analysis.hpp"
@@ -16,6 +20,7 @@ namespace {
 
 using uml::ActivityDiagram;
 using uml::ControlFlow;
+using Link = uml::DiagramIndex::Link;
 using uml::Model;
 using uml::Node;
 using uml::NodeKind;
@@ -175,9 +180,12 @@ class InitialFinalEdgesRule final : public Rule {
              Severity::Error) {}
   void run(const Model& model, RuleContext& ctx) const override {
     for (const auto& diagram : model.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
-        const auto in = diagram->incoming(node->id()).size();
-        const auto out = diagram->outgoing(node->id()).size();
+      const uml::DiagramIndex& graph = ctx.graph(*diagram);
+      const auto& nodes = diagram->nodes();
+      for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+        const auto& node = nodes[i];
+        const auto in = graph.in_links(i).size();
+        const auto out = graph.out_links(i).size();
         if (node->kind() == NodeKind::Initial) {
           if (in != 0) {
             ctx.report(loc_node(*diagram, *node),
@@ -206,12 +214,13 @@ class EdgeEndpointsRule final : public Rule {
              Severity::Error) {}
   void run(const Model& model, RuleContext& ctx) const override {
     for (const auto& diagram : model.diagrams()) {
-      for (const auto& edge : diagram->edges()) {
-        if (diagram->node(edge->source()) == nullptr) {
+      for (const auto& link : ctx.graph(*diagram).links()) {
+        const ControlFlow* edge = link.flow;
+        if (link.source == nullptr) {
           ctx.report(loc_edge(*diagram, *edge),
                      "source '" + edge->source() + "' not in diagram");
         }
-        if (diagram->node(edge->target()) == nullptr) {
+        if (link.target == nullptr) {
           ctx.report(loc_edge(*diagram, *edge),
                      "target '" + edge->target() + "' not in diagram");
         }
@@ -233,9 +242,12 @@ class ConnectivityRule final : public Rule {
              Severity::Warning) {}
   void run(const Model& model, RuleContext& ctx) const override {
     for (const auto& diagram : model.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
-        const auto in = diagram->incoming(node->id()).size();
-        const auto out = diagram->outgoing(node->id()).size();
+      const uml::DiagramIndex& graph = ctx.graph(*diagram);
+      const auto& nodes = diagram->nodes();
+      for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+        const auto& node = nodes[i];
+        const auto in = graph.in_links(i).size();
+        const auto out = graph.out_links(i).size();
         if (node->kind() != NodeKind::Initial && in == 0) {
           ctx.report(loc_node(*diagram, *node), "node has no incoming edge");
         }
@@ -255,25 +267,47 @@ class ReachabilityRule final : public Rule {
              Severity::Warning) {}
   void run(const Model& model, RuleContext& ctx) const override {
     for (const auto& diagram : model.diagrams()) {
-      const Node* initial = diagram->initial();
+      const uml::DiagramIndex& graph = ctx.graph(*diagram);
+      const Node* initial = graph.initial();
       if (initial == nullptr) {
         continue;  // initial-node rule reports this
       }
-      std::set<std::string> reached;
-      std::vector<std::string> frontier{initial->id()};
-      reached.insert(initial->id());
+      // The walk follows edges by id, so an edge into an id no node
+      // holds continues along the edges leaving that id.
+      std::unordered_map<std::string_view, std::vector<const Link*>>
+          leaving_unknown;
+      for (const auto& link : graph.links()) {
+        if (link.source == nullptr) {
+          leaving_unknown[link.flow->source()].push_back(&link);
+        }
+      }
+      const auto& nodes = diagram->nodes();
+      std::vector<char> reached(nodes.size(), 0);
+      std::set<std::string_view> reached_unknown;
+      std::vector<std::span<const Link* const>> frontier;
+      const std::uint32_t start = graph.find(initial->id());
+      reached[start] = 1;
+      frontier.push_back(graph.out_links(start));
       while (!frontier.empty()) {
-        const std::string id = std::move(frontier.back());
+        const auto links = frontier.back();
         frontier.pop_back();
-        for (const auto* edge : diagram->outgoing(id)) {
-          if (reached.insert(edge->target()).second) {
-            frontier.push_back(edge->target());
+        for (const auto* link : links) {
+          if (link->to != uml::DiagramIndex::npos) {
+            if (reached[link->to] == 0) {
+              reached[link->to] = 1;
+              frontier.push_back(graph.out_links(link->to));
+            }
+          } else if (reached_unknown.insert(link->flow->target()).second) {
+            const auto it = leaving_unknown.find(link->flow->target());
+            if (it != leaving_unknown.end()) {
+              frontier.push_back(it->second);
+            }
           }
         }
       }
-      for (const auto& node : diagram->nodes()) {
-        if (reached.find(node->id()) == reached.end()) {
-          ctx.report(loc_node(*diagram, *node),
+      for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+        if (reached[graph.holder(i)] == 0) {
+          ctx.report(loc_node(*diagram, *nodes[i]),
                      "node unreachable from initial node");
         }
       }
@@ -290,18 +324,22 @@ class DecisionGuardsRule final : public Rule {
              Severity::Error) {}
   void run(const Model& model, RuleContext& ctx) const override {
     for (const auto& diagram : model.diagrams()) {
-      for (const auto& node : diagram->nodes()) {
+      const uml::DiagramIndex& graph = ctx.graph(*diagram);
+      const auto& nodes = diagram->nodes();
+      for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+        const auto& node = nodes[i];
         if (node->kind() != NodeKind::Decision) {
           continue;
         }
-        const auto outgoing = diagram->outgoing(node->id());
+        const auto outgoing = graph.out_links(i);
         if (outgoing.size() < 2) {
           ctx.report(loc_node(*diagram, *node),
                      "decision node needs at least two outgoing edges, has " +
                          std::to_string(outgoing.size()));
         }
         std::size_t else_count = 0;
-        for (const auto* edge : outgoing) {
+        for (const auto* link : outgoing) {
+          const ControlFlow* edge = link->flow;
           if (!edge->has_guard()) {
             ctx.report(loc_edge(*diagram, *edge),
                        "edge leaving a decision node lacks a guard");
@@ -338,13 +376,13 @@ class GuardContextRule final : public Rule {
              Severity::Warning) {}
   void run(const Model& model, RuleContext& ctx) const override {
     for (const auto& diagram : model.diagrams()) {
-      for (const auto& edge : diagram->edges()) {
-        if (!edge->has_guard()) {
+      for (const auto& link : ctx.graph(*diagram).links()) {
+        if (!link.flow->has_guard()) {
           continue;
         }
-        const Node* source = diagram->node(edge->source());
-        if (source != nullptr && source->kind() != NodeKind::Decision) {
-          ctx.report(loc_edge(*diagram, *edge),
+        if (link.source != nullptr &&
+            link.source->kind() != NodeKind::Decision) {
+          ctx.report(loc_edge(*diagram, *link.flow),
                      "guard on edge leaving a non-decision node is ignored");
         }
       }
@@ -695,12 +733,15 @@ class ForkJoinRule final : public Rule {
              Severity::Error) {}
   void run(const Model& model, RuleContext& ctx) const override {
     for (const auto& diagram : model.diagrams()) {
+      const uml::DiagramIndex& graph = ctx.graph(*diagram);
+      const auto& nodes = diagram->nodes();
       std::size_t forks = 0;
       std::size_t joins = 0;
-      for (const auto& node : diagram->nodes()) {
+      for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+        const auto& node = nodes[i];
         if (node->kind() == NodeKind::Fork) {
           ++forks;
-          const auto out = diagram->outgoing(node->id()).size();
+          const auto out = graph.out_links(i).size();
           if (out < 2) {
             ctx.report(loc_node(*diagram, *node),
                        "fork needs at least two outgoing edges, has " +
@@ -708,7 +749,7 @@ class ForkJoinRule final : public Rule {
           }
         } else if (node->kind() == NodeKind::Join) {
           ++joins;
-          const auto in = diagram->incoming(node->id()).size();
+          const auto in = graph.in_links(i).size();
           if (in < 2) {
             ctx.report(loc_node(*diagram, *node),
                        "join needs at least two incoming edges, has " +
@@ -859,6 +900,15 @@ std::string Diagnostics::to_string() const {
   return out.str();
 }
 
+const uml::DiagramIndex& RuleContext::graph(
+    const uml::ActivityDiagram& diagram) const {
+  if (graphs_ == nullptr) {
+    throw std::logic_error("rule '" + rule_ +
+                           "': context carries no graph index");
+  }
+  return graphs_->at(diagram);
+}
+
 void RuleContext::report(std::string location, std::string message) {
   report(severity_, std::move(location), std::move(message));
 }
@@ -975,6 +1025,7 @@ void ModelChecker::configure(const xml::Document& mcf) {
 
 Diagnostics ModelChecker::check(const uml::Model& model) const {
   Diagnostics diagnostics;
+  const uml::ModelIndex graphs(model);
   for (const auto& note : configuration_notes_) {
     diagnostics.add(Diagnostic{Severity::Info, "mcf", "configuration", note});
   }
@@ -984,7 +1035,7 @@ Diagnostics ModelChecker::check(const uml::Model& model) const {
     }
     const Severity severity =
         entry.severity_override.value_or(entry.rule->default_severity());
-    RuleContext ctx(diagnostics, entry.rule->name(), severity);
+    RuleContext ctx(diagnostics, entry.rule->name(), severity, &graphs);
     entry.rule->run(model, ctx);
   }
   return diagnostics;

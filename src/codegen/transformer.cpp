@@ -9,6 +9,7 @@
 #include "prophet/expr/analysis.hpp"
 #include "prophet/expr/cppgen.hpp"
 #include "prophet/expr/parser.hpp"
+#include "prophet/uml/index.hpp"
 #include "prophet/uml/sysparams.hpp"
 
 namespace prophet::codegen {
@@ -16,6 +17,7 @@ namespace {
 
 using uml::ActivityDiagram;
 using uml::ControlFlow;
+using uml::DiagramIndex;
 using uml::Model;
 using uml::Node;
 using uml::NodeKind;
@@ -151,8 +153,9 @@ struct Context {
   const Model* model = nullptr;
   std::map<std::string, int> uids;           // node id -> numeric uid
   std::map<std::string, std::string> names;  // node id -> C++ identifier
+  uml::ModelIndex graphs;                    // one per transformation
 
-  explicit Context(const Model& m) : model(&m) {
+  explicit Context(const Model& m) : model(&m), graphs(m) {
     std::set<int> claimed;
     for (const auto& diagram : m.diagrams()) {
       for (const auto& node : diagram->nodes()) {
@@ -259,9 +262,17 @@ std::set<std::string> domain_diagrams(const Model& model,
   return domain;
 }
 
+/// The target of an edge the flow must follow.
+const Node* follow(const DiagramIndex::Link& link) {
+  if (link.target == nullptr) {
+    throw TransformError("edge " + link.flow->id() + " has dangling target");
+  }
+  return link.target;
+}
+
 /// The structural successor of a node through its single unguarded edge.
-const Node* successor(const ActivityDiagram& diagram, const Node& node) {
-  const auto outgoing = diagram.outgoing(node.id());
+const Node* successor(const DiagramIndex& graph, const Node& node) {
+  const auto outgoing = graph.out_links(node.id());
   if (outgoing.empty()) {
     return nullptr;
   }
@@ -270,23 +281,19 @@ const Node* successor(const ActivityDiagram& diagram, const Node& node) {
                          " has multiple outgoing edges but is neither a "
                          "decision nor a fork");
   }
-  const Node* next = diagram.node(outgoing[0]->target());
-  if (next == nullptr) {
-    throw TransformError("edge " + outgoing[0]->id() + " has dangling target");
-  }
-  return next;
+  return follow(*outgoing[0]);
 }
 
-const Node* find_merge(const ActivityDiagram& diagram, const Node& decision,
+const Node* find_merge(const DiagramIndex& graph, const Node& decision,
                        int depth = 0);
-const Node* find_join(const ActivityDiagram& diagram, const Node& fork,
+const Node* find_join(const DiagramIndex& graph, const Node& fork,
                       int depth = 0);
 
 constexpr int kMaxStructureDepth = 256;
 
-[[noreturn]] void fail_cyclic(const ActivityDiagram& diagram) {
+[[noreturn]] void fail_cyclic(const DiagramIndex& graph) {
   throw TransformError(
-      "diagram " + diagram.id() +
+      "diagram " + graph.diagram().id() +
       ": cyclic or unboundedly nested control flow; model loops with "
       "<<loop+>> instead of back edges");
 }
@@ -294,12 +301,12 @@ constexpr int kMaxStructureDepth = 256;
 /// Follows a branch structurally (skipping nested structured regions) and
 /// returns the first Merge encountered, or nullptr when the branch
 /// terminates at a Final / dead end.
-const Node* branch_merge(const ActivityDiagram& diagram, const Node* node,
+const Node* branch_merge(const DiagramIndex& graph, const Node* node,
                          int depth) {
   int guard_budget = 100000;
   while (node != nullptr) {
     if (--guard_budget < 0) {
-      fail_cyclic(diagram);
+      fail_cyclic(graph);
     }
     switch (node->kind()) {
       case NodeKind::Merge:
@@ -307,39 +314,35 @@ const Node* branch_merge(const ActivityDiagram& diagram, const Node* node,
       case NodeKind::Final:
         return nullptr;
       case NodeKind::Decision: {
-        const Node* merge = find_merge(diagram, *node, depth + 1);
+        const Node* merge = find_merge(graph, *node, depth + 1);
         if (merge == nullptr) {
           return nullptr;  // all inner branches terminate
         }
-        node = successor(diagram, *merge);
+        node = successor(graph, *merge);
         break;
       }
       case NodeKind::Fork: {
-        const Node* join = find_join(diagram, *node, depth + 1);
-        node = successor(diagram, *join);
+        const Node* join = find_join(graph, *node, depth + 1);
+        node = successor(graph, *join);
         break;
       }
       default:
-        node = successor(diagram, *node);
+        node = successor(graph, *node);
         break;
     }
   }
   return nullptr;
 }
 
-const Node* find_merge(const ActivityDiagram& diagram, const Node& decision,
+const Node* find_merge(const DiagramIndex& graph, const Node& decision,
                        int depth) {
   if (depth > kMaxStructureDepth) {
-    fail_cyclic(diagram);
+    fail_cyclic(graph);
   }
   const Node* merge = nullptr;
   bool first = true;
-  for (const auto* edge : diagram.outgoing(decision.id())) {
-    const Node* target = diagram.node(edge->target());
-    if (target == nullptr) {
-      throw TransformError("edge " + edge->id() + " has dangling target");
-    }
-    const Node* branch = branch_merge(diagram, target, depth);
+  for (const auto* link : graph.out_links(decision.id())) {
+    const Node* branch = branch_merge(graph, follow(*link), depth);
     if (first) {
       merge = branch;
       first = false;
@@ -354,12 +357,12 @@ const Node* find_merge(const ActivityDiagram& diagram, const Node& decision,
 }
 
 /// Follows a fork branch to the first Join.
-const Node* branch_join(const ActivityDiagram& diagram, const Node* node,
+const Node* branch_join(const DiagramIndex& graph, const Node* node,
                         int depth) {
   int guard_budget = 100000;
   while (node != nullptr) {
     if (--guard_budget < 0) {
-      fail_cyclic(diagram);
+      fail_cyclic(graph);
     }
     switch (node->kind()) {
       case NodeKind::Join:
@@ -367,39 +370,34 @@ const Node* branch_join(const ActivityDiagram& diagram, const Node* node,
       case NodeKind::Final:
         return nullptr;
       case NodeKind::Decision: {
-        const Node* merge = find_merge(diagram, *node, depth + 1);
+        const Node* merge = find_merge(graph, *node, depth + 1);
         if (merge == nullptr) {
           return nullptr;
         }
-        node = successor(diagram, *merge);
+        node = successor(graph, *merge);
         break;
       }
       case NodeKind::Fork: {
-        const Node* join = find_join(diagram, *node, depth + 1);
-        node = successor(diagram, *join);
+        const Node* join = find_join(graph, *node, depth + 1);
+        node = successor(graph, *join);
         break;
       }
       default:
-        node = successor(diagram, *node);
+        node = successor(graph, *node);
         break;
     }
   }
   return nullptr;
 }
 
-const Node* find_join(const ActivityDiagram& diagram, const Node& fork,
-                      int depth) {
+const Node* find_join(const DiagramIndex& graph, const Node& fork, int depth) {
   if (depth > kMaxStructureDepth) {
-    fail_cyclic(diagram);
+    fail_cyclic(graph);
   }
   const Node* join = nullptr;
   bool first = true;
-  for (const auto* edge : diagram.outgoing(fork.id())) {
-    const Node* target = diagram.node(edge->target());
-    if (target == nullptr) {
-      throw TransformError("edge " + edge->id() + " has dangling target");
-    }
-    const Node* branch = branch_join(diagram, target, depth);
+  for (const auto* link : graph.out_links(fork.id())) {
+    const Node* branch = branch_join(graph, follow(*link), depth);
     if (branch == nullptr) {
       throw TransformError("fork " + fork.id() +
                            ": a branch does not reach a join");
@@ -424,27 +422,28 @@ class FlowEmitter {
   FlowEmitter(const Context& ctx, CppEmitter& out) : ctx_(&ctx), out_(&out) {}
 
   void emit_diagram(const ActivityDiagram& diagram) {
-    const Node* initial = diagram.initial();
+    const DiagramIndex& graph = ctx_->graphs.at(diagram);
+    const Node* initial = graph.initial();
     if (initial == nullptr) {
       throw TransformError("diagram " + diagram.id() +
                            " has no initial node");
     }
-    emit_until(diagram, successor(diagram, *initial), nullptr);
+    emit_until(graph, successor(graph, *initial), nullptr);
   }
 
  private:
   /// Emits nodes from `node` until reaching `stop` (exclusive), a Final
   /// node, or a dead end.
-  void emit_until(const ActivityDiagram& diagram, const Node* node,
+  void emit_until(const DiagramIndex& graph, const Node* node,
                   const Node* stop) {
     while (node != nullptr && node != stop &&
            node->kind() != NodeKind::Final) {
-      node = emit_node(diagram, *node, stop);
+      node = emit_node(graph, *node, stop);
     }
   }
 
   /// Emits one construct; returns the node where emission continues.
-  const Node* emit_node(const ActivityDiagram& diagram, const Node& node,
+  const Node* emit_node(const DiagramIndex& graph, const Node& node,
                         const Node* stop) {
     switch (node.kind()) {
       case NodeKind::Initial:
@@ -452,23 +451,23 @@ class FlowEmitter {
         return nullptr;
       case NodeKind::Merge:
       case NodeKind::Join:
-        return successor(diagram, node);
+        return successor(graph, node);
       case NodeKind::Action:
         emit_fragment(node);
         emit_action(node);
-        return successor(diagram, node);
+        return successor(graph, node);
       case NodeKind::Activity:
         emit_fragment(node);
         emit_activity(node);
-        return successor(diagram, node);
+        return successor(graph, node);
       case NodeKind::Loop:
         emit_fragment(node);
         emit_loop(node);
-        return successor(diagram, node);
+        return successor(graph, node);
       case NodeKind::Decision:
-        return emit_decision(diagram, node, stop);
+        return emit_decision(graph, node, stop);
       case NodeKind::Fork:
-        return emit_fork(diagram, node);
+        return emit_fork(graph, node);
     }
     return nullptr;
   }
@@ -666,17 +665,17 @@ class FlowEmitter {
     out_->close();
   }
 
-  const Node* emit_decision(const ActivityDiagram& diagram, const Node& node,
+  const Node* emit_decision(const DiagramIndex& graph, const Node& node,
                             const Node* stop) {
-    const Node* merge = find_merge(diagram, node);
+    const Node* merge = find_merge(graph, node);
     const Node* branch_stop = merge != nullptr ? merge : stop;
-    std::vector<const ControlFlow*> guarded;
-    const ControlFlow* else_edge = nullptr;
-    for (const auto* edge : diagram.outgoing(node.id())) {
-      if (edge->is_else()) {
-        else_edge = edge;
+    std::vector<const DiagramIndex::Link*> guarded;
+    const DiagramIndex::Link* else_edge = nullptr;
+    for (const auto* link : graph.out_links(node.id())) {
+      if (link->flow->is_else()) {
+        else_edge = link;
       } else {
-        guarded.push_back(edge);
+        guarded.push_back(link);
       }
     }
     if (guarded.empty()) {
@@ -684,8 +683,8 @@ class FlowEmitter {
                            " has no guarded outgoing edges");
     }
     for (std::size_t i = 0; i < guarded.size(); ++i) {
-      const auto guard = parse_expr(guarded[i]->guard(),
-                                    "guard of edge " + guarded[i]->id());
+      const ControlFlow& edge = *guarded[i]->flow;
+      const auto guard = parse_expr(edge.guard(), "guard of edge " + edge.id());
       const std::string condition =
           expr::to_cpp(*substitute_uid(*guard, ctx_->uid(node)));
       if (i == 0) {
@@ -694,12 +693,12 @@ class FlowEmitter {
         out_->dedent();
         out_->open("} else if (" + condition + ") {");
       }
-      emit_until(diagram, diagram.node(guarded[i]->target()), branch_stop);
+      emit_until(graph, guarded[i]->target, branch_stop);
     }
     out_->dedent();
     out_->open("} else {");
     if (else_edge != nullptr) {
-      emit_until(diagram, diagram.node(else_edge->target()), branch_stop);
+      emit_until(graph, else_edge->target, branch_stop);
     } else {
       // Mirror the interpreter: a decision where no guard holds and no
       // else edge exists is a modeling error at run time.
@@ -707,21 +706,21 @@ class FlowEmitter {
                  "': no guard holds and no else edge\");");
     }
     out_->close();
-    return merge != nullptr ? successor(diagram, *merge) : nullptr;
+    return merge != nullptr ? successor(graph, *merge) : nullptr;
   }
 
-  const Node* emit_fork(const ActivityDiagram& diagram, const Node& node) {
-    const Node* join = find_join(diagram, node);
+  const Node* emit_fork(const DiagramIndex& graph, const Node& node) {
+    const Node* join = find_join(graph, node);
     out_->open("co_await prophet::workload::fork_join(ctx, {");
-    const auto outgoing = diagram.outgoing(node.id());
+    const auto outgoing = graph.out_links(node.id());
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
       out_->open("[&]() -> prophet::sim::Process {");
-      emit_until(diagram, diagram.node(outgoing[i]->target()), join);
+      emit_until(graph, outgoing[i]->target, join);
       out_->line("co_return;");
       out_->close(i + 1 < outgoing.size() ? "," : "");
     }
     out_->close(");");
-    return successor(diagram, *join);
+    return successor(graph, *join);
   }
 
   const Context* ctx_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -12,6 +11,7 @@
 
 #include "prophet/expr/eval.hpp"
 #include "prophet/expr/parser.hpp"
+#include "prophet/uml/index.hpp"
 #include "prophet/uml/sysparams.hpp"
 
 namespace prophet::lower {
@@ -432,8 +432,8 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
   std::sort(node_index_.begin(), node_index_.end(), by_key);
 
   // ---- Phase 4: resolve control flow.  Every lookup a walker would
-  // otherwise make by id string happens here, once, with one id -> node
-  // index per diagram: O(nodes + edges) per diagram.
+  // otherwise make by id string happens here, once, through one
+  // uml::DiagramIndex per diagram: O(nodes + edges) per diagram.
   const std::string* const default_schedule =
       &*names_.emplace("static").first;
   const std::string* const default_lock = &*names_.emplace("default").first;
@@ -454,81 +454,57 @@ ModelProgram::ModelProgram(const uml::Model& model) : model_(&model) {
   edges_.reserve(edge_total);
   guard_index_.reserve(guard_programs_.size());
   std::size_t guard_cursor = 0;
-  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-  std::unordered_map<std::string_view, std::uint32_t> ids;
-  std::vector<std::uint32_t> holder;     // node -> first node with its id
-  std::vector<std::uint32_t> source_of;  // edge -> source holder or kNone
-  std::vector<std::uint32_t> begin;      // holder -> first edge slot
-  std::vector<std::uint32_t> fill;
+  std::vector<const expr::Compiled*> guards;  // edge -> compiled guard
   NodePrograms* local = nodes_.data();
   for (std::size_t d = 0; d < m.diagrams().size(); ++d) {
     const uml::ActivityDiagram& diagram = *m.diagrams()[d];
+    const uml::DiagramIndex graph(diagram);
     const auto& nodes = diagram.nodes();
-    const auto& edges = diagram.edges();
     const auto count = static_cast<std::uint32_t>(nodes.size());
     DiagramProgram& resolved = diagrams_[d];
     resolved.diagram = &diagram;
-    ids.clear();
-    ids.reserve(count);
-    holder.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      // The first node holding an id wins, like ActivityDiagram::node().
-      holder[i] = ids.emplace(nodes[i]->id(), i).first->second;
-      if (resolved.initial == nullptr &&
-          nodes[i]->kind() == NodeKind::Initial) {
-        resolved.initial = &local[i];
-      }
-    }
-    const auto find = [&ids](std::string_view id) {
-      const auto it = ids.find(id);
-      return it == ids.end() ? kNone : it->second;
-    };
-    // Counting sort of the edges by source, stable in edge order: a
-    // node's outgoing edges are one contiguous range, in the order
-    // ActivityDiagram::outgoing() lists them.
-    begin.assign(count + 1, 0);
-    source_of.resize(edges.size());
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      source_of[e] = find(edges[e]->source());
-      if (source_of[e] != kNone) {
-        ++begin[source_of[e] + 1];
-      }
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      begin[i + 1] += begin[i];
-    }
-    fill.assign(begin.begin(), begin.end() - 1);
-    const std::size_t first = edges_.size();
-    edges_.resize(first + begin[count]);
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      const uml::ControlFlow& flow = *edges[e];
-      const expr::Compiled* guard = nullptr;
+    // Guards were compiled in edge order, across the diagrams.
+    const auto links = graph.links();
+    guards.assign(links.size(), nullptr);
+    for (std::size_t e = 0; e < links.size(); ++e) {
+      const uml::ControlFlow& flow = *links[e].flow;
       if (flow.has_guard() && !flow.is_else()) {
-        guard = &guard_programs_[guard_cursor++];
-        guard_index_.emplace_back(&flow, guard);
-      }
-      if (source_of[e] == kNone) {
-        continue;  // no node has this source id: never walked
-      }
-      ControlEdge& out = edges_[first + fill[source_of[e]]++];
-      out.flow = &flow;
-      if (const auto target = find(flow.target()); target != kNone) {
-        out.target = nodes[target].get();
-        out.to = &local[target];
-      }
-      out.guard = guard;
-      out.is_else = flow.is_else();
-      if (const auto prob = number_of(find_tag(flow, uml::tag::kProb))) {
-        out.prob = *prob;
-        out.has_prob = true;
+        guards[e] = &guard_programs_[guard_cursor++];
+        guard_index_.emplace_back(&flow, guards[e]);
       }
     }
+    // A node's outgoing edges are one contiguous range of edges_, in the
+    // order the index lists them; a node sharing an earlier node's id
+    // shares that holder's range.
     for (std::uint32_t i = 0; i < count; ++i) {
       const Node& node = *nodes[i];
       NodePrograms& programs = local[i];
-      const std::uint32_t h = holder[i];
-      programs.edges = std::span<const ControlEdge>(
-          edges_.data() + first + begin[h], begin[h + 1] - begin[h]);
+      if (resolved.initial == nullptr && node.kind() == NodeKind::Initial) {
+        resolved.initial = &programs;
+      }
+      const std::uint32_t h = graph.holder(i);
+      if (h == i) {
+        const std::size_t first = edges_.size();
+        for (const auto* link : graph.out_links(i)) {
+          ControlEdge& out = edges_.emplace_back();
+          out.flow = link->flow;
+          out.target = link->target;
+          if (link->to != uml::DiagramIndex::npos) {
+            out.to = &local[link->to];
+          }
+          out.guard = guards[static_cast<std::size_t>(link - links.data())];
+          out.is_else = link->flow->is_else();
+          if (const auto prob =
+                  number_of(find_tag(*link->flow, uml::tag::kProb))) {
+            out.prob = *prob;
+            out.has_prob = true;
+          }
+        }
+        programs.edges = std::span<const ControlEdge>(
+            edges_.data() + first, edges_.size() - first);
+      } else {
+        programs.edges = local[h].edges;
+      }
       programs.probabilistic =
           std::any_of(programs.edges.begin(), programs.edges.end(),
                       [](const ControlEdge& edge) { return edge.has_prob; });

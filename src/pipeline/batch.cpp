@@ -482,6 +482,11 @@ struct BatchRunner::CompiledEntry {
   std::string error;  // stage-prefixed, e.g. "check: 2 error(s): ..."
   std::size_t check_warnings = 0;
   std::size_t generated_bytes = 0;
+  // Host time of the model's one-time parse, check and transform (the
+  // per-job CSV columns stay 0: no job pays them).
+  double parse_seconds = 0;
+  double check_seconds = 0;
+  double transform_seconds = 0;
   // The prepared handles borrow `model`; member order keeps the model
   // alive past their destruction.
   std::unique_ptr<uml::Model> model;
@@ -569,9 +574,7 @@ std::string BatchRunner::run_model_stages(
     double* check_seconds, double* transform_seconds) const {
   const auto record = [](double* slot,
                          std::chrono::steady_clock::time_point since) {
-    if (slot != nullptr) {
-      *slot = seconds_since(since);
-    }
+    *slot = seconds_since(since);
   };
 
   // Every stage records its elapsed time whether it succeeds or throws
@@ -937,9 +940,9 @@ void BatchRunner::compile_one(std::size_t m, CompiledEntry* out) const {
   // via run_model_stages/prepare_backends: a model failing at stage X
   // reports the same stage-prefixed error in both modes.
   entry.model = std::make_unique<uml::Model>("empty");
-  entry.error =
-      run_model_stages(m, entry.model.get(), &entry.check_warnings,
-                       &entry.generated_bytes, nullptr, nullptr, nullptr);
+  entry.error = run_model_stages(
+      m, entry.model.get(), &entry.check_warnings, &entry.generated_bytes,
+      &entry.parse_seconds, &entry.check_seconds, &entry.transform_seconds);
   if (!entry.error.empty()) {
     return;
   }
@@ -1192,6 +1195,17 @@ BatchReport BatchRunner::run() const {
     cache = compile_models(threads, &report.models_prepared,
                            collect_trace ? &report.trace : nullptr);
     report.prepare_seconds = seconds_since(start);
+    // The batch stage timers count each model's one-time stages here;
+    // derived_metrics() adds the per-job columns, which are 0 in this
+    // mode.
+    for (const auto& entry : cache) {
+      report.metrics.timer("batch.parse_seconds")
+          .add_seconds(entry.parse_seconds);
+      report.metrics.timer("batch.check_seconds")
+          .add_seconds(entry.check_seconds);
+      report.metrics.timer("batch.transform_seconds")
+          .add_seconds(entry.transform_seconds);
+    }
     if (collect_metrics) {
       // Cached mode pays the lowering (and any codegen compile) once per
       // model; count it here rather than per job (isolated mode counts

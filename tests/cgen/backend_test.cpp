@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "prophet/guard/guard.hpp"
 #include "prophet/lower/lower.hpp"
 #include "prophet/models/builtins.hpp"
+#include "prophet/uml/builder.hpp"
 
 namespace cgen = prophet::cgen;
 namespace estimator = prophet::estimator;
@@ -69,6 +71,30 @@ TEST(CodegenBackend, BitIdenticalToTheSimulator) {
     expect_bit_identical(sim->estimate(sp(np), no_trace()),
                          prepared->estimate(sp(np), no_trace()));
   }
+}
+
+TEST(CodegenBackend, SharedNodeIdFollowsTheFirstHolderLikeTheSimulator) {
+  // Two nodes hold B's id.  Every walker resolves an edge into that id
+  // to the first of them (ActivityDiagram::node()), so the generated
+  // evaluator must jump to B's action, not to the twin final node.
+  prophet::uml::ModelBuilder mb("SharedId");
+  prophet::uml::DiagramBuilder d = mb.diagram("main");
+  prophet::uml::NodeRef init = d.initial();
+  prophet::uml::NodeRef a = d.action("A");
+  a.time(1.0);
+  prophet::uml::NodeRef b = d.action("B");
+  b.time(2.0);
+  prophet::uml::NodeRef fin = d.final_node();
+  d.sequence({init, a, b, fin});
+  prophet::uml::Model model = std::move(mb).build();
+  model.diagram(d.id())->add_node(std::make_unique<prophet::uml::Node>(
+      b.id(), "Twin", prophet::uml::NodeKind::Final));
+  const auto program = prophet::lower::lower(model);
+  const auto sim = prophet::analytic::SimulationBackend().prepare(program);
+  const auto prepared = cgen::CodegenBackend().prepare(program);
+  const auto reference = sim->estimate(sp(1), no_trace());
+  EXPECT_EQ(reference.predicted_time, 3.0);
+  expect_bit_identical(reference, prepared->estimate(sp(1), no_trace()));
 }
 
 TEST(CodegenBackend, SharesTheLoweringItWasPreparedFrom) {

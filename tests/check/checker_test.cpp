@@ -479,4 +479,160 @@ TEST(CheckerApi, CustomRule) {
   EXPECT_TRUE(rule_fired(checker.check(long_name), "name-length"));
 }
 
+
+// --- Exact output on a malformed graph ---------------------------------------
+
+/// Three diagrams with every graph defect the edge-reading rules look for:
+/// a node id shared by two nodes (so by-id edge queries merge them), an
+/// edge id reused, dangling sources and targets, a self-loop, an edge-less
+/// node, an unguarded and an unparseable decision branch, a guard on a
+/// non-decision edge, a one-branch fork, a one-input join, a final node
+/// with an outgoing edge, a node reached only through an id no node holds,
+/// and diagrams without or with two initial nodes.
+uml::Model malformed_graph_model() {
+  uml::Model model("Malformed");
+  const auto add_node = [](uml::ActivityDiagram& d, const char* id,
+                           const char* name, uml::NodeKind kind) {
+    d.add_node(std::make_unique<uml::Node>(id, name, kind));
+  };
+  const auto add_edge = [](uml::ActivityDiagram& d, const char* id,
+                           const char* source, const char* target,
+                           const char* guard = "") {
+    d.add_edge(
+        std::make_unique<uml::ControlFlow>(id, source, target, guard));
+  };
+
+  auto main = std::make_unique<uml::ActivityDiagram>("d1", "main");
+  add_node(*main, "init", "Start", uml::NodeKind::Initial);
+  add_node(*main, "a", "A", uml::NodeKind::Action);
+  add_node(*main, "dec", "Choose", uml::NodeKind::Decision);
+  add_node(*main, "b", "B", uml::NodeKind::Action);
+  add_node(*main, "c", "C", uml::NodeKind::Action);
+  add_node(*main, "merge", "", uml::NodeKind::Merge);
+  add_node(*main, "fork", "", uml::NodeKind::Fork);
+  add_node(*main, "join", "", uml::NodeKind::Join);
+  add_node(*main, "fin", "", uml::NodeKind::Final);
+  add_node(*main, "a", "Twin", uml::NodeKind::Merge);
+  add_node(*main, "orphan", "Orphan", uml::NodeKind::Action);
+  add_node(*main, "dec2", "Twice", uml::NodeKind::Decision);
+  add_node(*main, "behind", "Behind", uml::NodeKind::Action);
+  add_edge(*main, "e1", "init", "a");
+  add_edge(*main, "e2", "a", "dec");
+  add_edge(*main, "e3", "dec", "b", "x >");
+  add_edge(*main, "e4", "dec", "c");
+  add_edge(*main, "e5", "b", "merge", "1");
+  add_edge(*main, "e6", "c", "merge");
+  add_edge(*main, "e7", "merge", "fork");
+  add_edge(*main, "e8", "fork", "join");
+  add_edge(*main, "e9", "join", "fin");
+  add_edge(*main, "e10", "fin", "a");
+  add_edge(*main, "e11", "a", "ghost");
+  add_edge(*main, "e12", "phantom", "fin");
+  add_edge(*main, "e13", "c", "c");
+  add_edge(*main, "e1", "dec2", "fin", "else");
+  add_edge(*main, "e14", "dec2", "fin", "else");
+  add_edge(*main, "e15", "ghost", "ghost", "1");
+  add_edge(*main, "e16", "ghost", "behind");  // reached through "ghost"
+  add_edge(*main, "e17", "behind", "fin");
+  model.add_diagram(std::move(main));
+
+  auto headless = std::make_unique<uml::ActivityDiagram>("d2", "headless");
+  add_node(*headless, "h_a", "HA", uml::NodeKind::Action);
+  add_node(*headless, "h_fork", "", uml::NodeKind::Fork);
+  add_node(*headless, "h_b", "HB", uml::NodeKind::Action);
+  add_node(*headless, "h_c", "HC", uml::NodeKind::Action);
+  add_node(*headless, "h_fin", "", uml::NodeKind::Final);
+  add_edge(*headless, "h1", "h_a", "h_fork");
+  add_edge(*headless, "h2", "h_fork", "h_b");
+  add_edge(*headless, "h3", "h_fork", "h_c");
+  add_edge(*headless, "h4", "h_b", "h_fin");
+  model.add_diagram(std::move(headless));
+
+  auto twin_start = std::make_unique<uml::ActivityDiagram>("d3", "twins");
+  add_node(*twin_start, "t_i1", "", uml::NodeKind::Initial);
+  add_node(*twin_start, "t_i2", "", uml::NodeKind::Initial);
+  add_node(*twin_start, "t_join", "", uml::NodeKind::Join);
+  add_node(*twin_start, "t_fin", "", uml::NodeKind::Final);
+  add_edge(*twin_start, "t1", "t_i1", "t_join");
+  add_edge(*twin_start, "t2", "t_join", "t_i2");
+  add_edge(*twin_start, "t3", "t_i2", "t_fin");
+  add_edge(*twin_start, "t4", "t_i2", "t_fin");
+  model.add_diagram(std::move(twin_start));
+  model.set_main_diagram("d1");
+  return model;
+}
+
+TEST(CheckerOutput, MalformedGraphDiagnosticsAreExact) {
+  const auto diagnostics = run_check(malformed_graph_model());
+  for (const char* rule :
+       {"unique-ids", "initial-final-edges", "edge-endpoints", "connectivity",
+        "node-reachable", "decision-guards", "guard-context", "fork-join"}) {
+    EXPECT_TRUE(rule_fired(diagnostics, rule)) << rule;
+  }
+  EXPECT_EQ(diagnostics.to_string(),
+            "error [unique-ids] diagram d1 (main) / node a (Twin): id 'a' "
+            "already used at diagram d1 (main) / node a (A)\n"
+            "error [unique-ids] diagram d1 (main) / edge e1: id 'e1' already "
+            "used at diagram d1 (main) / edge e1\n"
+            "error [initial-node] diagram d2 (headless): diagram has no "
+            "initial node\n"
+            "error [initial-node] diagram d3 (twins): diagram has 2 initial "
+            "nodes; exactly one is required\n"
+            "error [initial-final-edges] diagram d1 (main) / node fin: final "
+            "node has outgoing edges\n"
+            "error [initial-final-edges] diagram d3 (twins) / node t_i2: "
+            "initial node has incoming edges\n"
+            "error [initial-final-edges] diagram d3 (twins) / node t_i2: "
+            "initial node must have exactly one outgoing edge, has 2\n"
+            "error [edge-endpoints] diagram d1 (main) / edge e11: target "
+            "'ghost' not in diagram\n"
+            "error [edge-endpoints] diagram d1 (main) / edge e12: source "
+            "'phantom' not in diagram\n"
+            "warning [edge-endpoints] diagram d1 (main) / edge e13: self-loop "
+            "edge\n"
+            "error [edge-endpoints] diagram d1 (main) / edge e15: source "
+            "'ghost' not in diagram\n"
+            "error [edge-endpoints] diagram d1 (main) / edge e15: target "
+            "'ghost' not in diagram\n"
+            "warning [edge-endpoints] diagram d1 (main) / edge e15: self-loop "
+            "edge\n"
+            "error [edge-endpoints] diagram d1 (main) / edge e16: source "
+            "'ghost' not in diagram\n"
+            "warning [connectivity] diagram d1 (main) / node orphan (Orphan): "
+            "node has no incoming edge\n"
+            "warning [connectivity] diagram d1 (main) / node orphan (Orphan): "
+            "node has no outgoing edge\n"
+            "warning [connectivity] diagram d1 (main) / node dec2 (Twice): "
+            "node has no incoming edge\n"
+            "warning [connectivity] diagram d2 (headless) / node h_a (HA): "
+            "node has no incoming edge\n"
+            "warning [connectivity] diagram d2 (headless) / node h_c (HC): "
+            "node has no outgoing edge\n"
+            "warning [node-reachable] diagram d1 (main) / node orphan "
+            "(Orphan): node unreachable from initial node\n"
+            "warning [node-reachable] diagram d1 (main) / node dec2 (Twice): "
+            "node unreachable from initial node\n"
+            "error [decision-guards] diagram d1 (main) / edge e3: guard 'x >' "
+            "does not parse\n"
+            "error [decision-guards] diagram d1 (main) / edge e4: edge leaving "
+            "a decision node lacks a guard\n"
+            "warning [decision-guards] diagram d1 (main) / node dec (Choose): "
+            "decision node has no 'else' edge; execution stalls when no guard "
+            "holds\n"
+            "error [decision-guards] diagram d1 (main) / node dec2 (Twice): "
+            "decision node has multiple 'else' edges\n"
+            "warning [guard-context] diagram d1 (main) / edge e5: guard on "
+            "edge leaving a non-decision node is ignored\n"
+            "error [fork-join] diagram d1 (main) / node fork: fork needs at "
+            "least two outgoing edges, has 1\n"
+            "error [fork-join] diagram d1 (main) / node join: join needs at "
+            "least two incoming edges, has 1\n"
+            "warning [fork-join] diagram d2 (headless): diagram has 1 fork(s) "
+            "but 0 join(s)\n"
+            "error [fork-join] diagram d3 (twins) / node t_join: join needs at "
+            "least two incoming edges, has 1\n"
+            "warning [fork-join] diagram d3 (twins): diagram has 0 fork(s) but "
+            "1 join(s)\n");
+}
+
 }  // namespace

@@ -2,6 +2,12 @@
 // identifier sanitization, error handling.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "prophet/codegen/transformer.hpp"
 #include "prophet/prophet.hpp"
 
@@ -285,6 +291,75 @@ TEST(Errors, UnparseableCostExpression) {
   d.sequence({init, a, fin});
   const uml::Model model = std::move(mb).build();
   EXPECT_THROW((void)kTransformer.emit_flow(model), codegen::TransformError);
+}
+
+namespace {
+
+/// One raw diagram "d" of control nodes (no stereotypes, so nothing but
+/// the structure is emitted) plus the given edges, as the main diagram.
+uml::Model control_graph(
+    std::initializer_list<std::pair<const char*, uml::NodeKind>> nodes,
+    std::initializer_list<std::array<const char*, 4>> edges) {
+  uml::Model model("Graph");
+  auto diagram = std::make_unique<uml::ActivityDiagram>("d", "main");
+  for (const auto& [id, kind] : nodes) {
+    diagram->add_node(std::make_unique<uml::Node>(id, "", kind));
+  }
+  for (const auto& [id, source, target, guard] : edges) {
+    diagram->add_edge(
+        std::make_unique<uml::ControlFlow>(id, source, target, guard));
+  }
+  model.add_diagram(std::move(diagram));
+  model.set_main_diagram("d");
+  return model;
+}
+
+std::string transform_error(const uml::Model& model) {
+  try {
+    (void)kTransformer.emit_flow(model);
+  } catch (const codegen::TransformError& error) {
+    return error.what();
+  }
+  return "no error";
+}
+
+}  // namespace
+
+TEST(Errors, ExactControlFlowErrorTexts) {
+  using K = uml::NodeKind;
+  EXPECT_EQ(transform_error(control_graph(
+                {{"i", K::Initial}, {"m", K::Merge}, {"f", K::Final},
+                 {"g", K::Final}},
+                {{"e1", "i", "m", ""}, {"e2", "m", "f", ""},
+                 {"e3", "m", "g", ""}})),
+            "node m has multiple outgoing edges but is neither a decision "
+            "nor a fork");
+  EXPECT_EQ(transform_error(control_graph(
+                {{"i", K::Initial}, {"m", K::Merge}},
+                {{"e1", "i", "m", ""}, {"e2", "m", "ghost", ""}})),
+            "edge e2 has dangling target");
+  EXPECT_EQ(transform_error(control_graph(
+                {{"i", K::Initial}, {"dec", K::Decision}, {"f", K::Final}},
+                {{"e1", "i", "dec", ""}, {"e2", "dec", "f", "1"},
+                 {"e3", "dec", "ghost", "else"}})),
+            "edge e3 has dangling target");
+  EXPECT_EQ(transform_error(control_graph(
+                {{"i", K::Initial}, {"fork", K::Fork}, {"j", K::Join},
+                 {"f", K::Final}},
+                {{"e1", "i", "fork", ""}, {"e2", "fork", "j", ""},
+                 {"e3", "fork", "ghost", ""}, {"e4", "j", "f", ""}})),
+            "edge e3 has dangling target");
+  // A node sharing the merge's id shares its outgoing edges, exactly as
+  // a by-id edge query does.
+  EXPECT_EQ(transform_error(control_graph(
+                {{"i", K::Initial}, {"m", K::Merge}, {"m", K::Merge},
+                 {"f", K::Final}},
+                {{"e1", "i", "m", ""}, {"e2", "m", "f", ""},
+                 {"e3", "m", "f", ""}})),
+            "node m has multiple outgoing edges but is neither a decision "
+            "nor a fork");
+  EXPECT_EQ(transform_error(control_graph({{"m", K::Merge}}, {})),
+            "diagram d has no initial node");
 }
 
 TEST(Options, MainOnlyWhenRequested) {

@@ -4,6 +4,7 @@
 // every job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <string>
@@ -169,6 +170,52 @@ TEST(BatchObservability, ProgressHeartbeatAccountsForEveryJob) {
   EXPECT_GE(calls.load(), 1);
   EXPECT_EQ(last_done.load(), 4U);
   EXPECT_EQ(last_total.load(), 4U);
+}
+
+TEST(BatchObservability, CachedSweepCountsOneTimeStagesInBatchTimers) {
+  // Cached mode parses, checks and transforms each model once, before
+  // any job: the batch timers report that cost while the per-job CSV
+  // columns stay 0 (no job paid it).
+  BatchOptions options;
+  options.threads = 2;
+  options.backend = BackendKind::Analytic;
+  BatchRunner runner(options);
+  for (const char* reference : {"@kernel6", "@sample"}) {
+    runner.add_sweep(runner.add_model_reference(reference),
+                     ScenarioGrid::parse("np=1,2"));
+  }
+  const BatchReport report = runner.run();
+  ASSERT_EQ(report.stats().ok, 4U);
+  EXPECT_GT(report.metrics.timer_seconds("batch.parse_seconds"), 0.0);
+  EXPECT_GT(report.metrics.timer_seconds("batch.check_seconds"), 0.0);
+  EXPECT_GT(report.metrics.timer_seconds("batch.transform_seconds"), 0.0);
+
+  const std::string csv = report.to_csv();
+  std::vector<std::vector<std::string>> rows;
+  std::size_t start = 0;
+  while (start < csv.size()) {
+    const std::size_t end = csv.find('\n', start);
+    const std::string line = csv.substr(start, end - start);
+    start = end + 1;
+    std::vector<std::string> fields;
+    std::size_t from = 0;
+    for (std::size_t comma; (comma = line.find(',', from)) != line.npos;
+         from = comma + 1) {
+      fields.push_back(line.substr(from, comma - from));
+    }
+    fields.push_back(line.substr(from));
+    rows.push_back(std::move(fields));
+  }
+  ASSERT_EQ(rows.size(), 5U);
+  const auto& header = rows.front();
+  for (const char* column : {"parse_s", "check_s", "transform_s"}) {
+    const auto at = std::find(header.begin(), header.end(), column);
+    ASSERT_NE(at, header.end()) << column;
+    const auto index = static_cast<std::size_t>(at - header.begin());
+    for (std::size_t row = 1; row < rows.size(); ++row) {
+      EXPECT_EQ(rows[row][index], "0") << column << " row " << row;
+    }
+  }
 }
 
 }  // namespace
