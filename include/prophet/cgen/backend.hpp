@@ -57,8 +57,9 @@ class CodegenPrepared final : public estimator::PreparedModel {
   /// pipeline folds this into the codegen.prepare_seconds metric).
   [[nodiscard]] double prepare_seconds() const;
 
-  /// True when the compile cache already held the evaluator (the
-  /// codegen.cache_hits metric).
+  /// True when the compile cache already held a loadable evaluator (the
+  /// codegen.cache_hits metric).  A cached object that fails to load is
+  /// evicted and compiled again, which counts as a miss.
   [[nodiscard]] bool cache_hit() const;
 
   /// The cached shared object backing this handle (for tests/tools).

@@ -7,13 +7,21 @@
 // (`$PROPHET_EXTRA_CXX_FLAGS`, falling back to the flags baked in at
 // configure time) cannot drift between them.
 //
+// Shared objects compile with one fixed flag string,
+// evaluator_cxx_flags(), which the build also uses to precompile
+// prophet/cgen/runtime.hpp into <build>/cgen_pch.  The command searches
+// that directory before include/, so GCC loads the precompiled header
+// when it matches and silently parses the real one when it does not.
+//
 // compile_shared_object() adds a content-addressed cache: the key is an
 // FNV-1a hash over (emitted source, full command shape, ABI version), so
 // a model that lowers to the same evaluator — across jobs, sweeps and
 // processes sharing the cache directory — compiles once and every later
-// prepare() is a dlopen of the cached object.  Compiles go to a
-// temporary name and rename into place, which is atomic within the cache
-// directory, so concurrent producers of the same key are benign.
+// prepare() is a dlopen of the cached object.  Each compile writes its
+// source and object under names unique to the call (pid plus a
+// process-wide serial) and renames them into place, which is atomic
+// within the cache directory, so concurrent producers of the same key —
+// threads or processes — are benign.
 //
 // Failures (no usable compiler, compile errors) throw CgenError with the
 // toolchain's output attached; the pipeline surfaces them as stage-
@@ -43,6 +51,12 @@ class CgenError : public std::runtime_error {
 /// The C++ compiler command: `$CXX` when set and non-empty, else "g++".
 [[nodiscard]] std::string compiler_command();
 
+/// The compile flags of every generated evaluator (C++20, -O2,
+/// position-independent, no FMA contraction, hidden visibility), fixed
+/// at configure time.  The build precompiles the runtime header with
+/// exactly these flags plus the configure-time extra flags.
+[[nodiscard]] std::string_view evaluator_cxx_flags();
+
 /// Extra compile flags: `$PROPHET_EXTRA_CXX_FLAGS` when set (possibly
 /// empty), else `fallback` (callers pass their configure-time flags, so
 /// sanitized builds compile generated code sanitized too).
@@ -59,12 +73,15 @@ struct CompileSpec {
   std::string source_path;            ///< input .cpp
   std::string output_path;            ///< output .so / executable
   std::string include_dir;            ///< -I directory (repo include/)
+  /// -I directory searched before include_dir for a precompiled header
+  /// (<build>/cgen_pch); empty adds none.
+  std::string pch_dir;
   std::vector<std::string> archives;  ///< static archives, link order
-  /// True: position-independent shared object with deterministic FP
-  /// (-shared -fPIC -ffp-contract=off, the bit-identity contract).
-  /// False: plain executable (the integration tests' mode).
+  /// True: shared object compiled with evaluator_cxx_flags() plus
+  /// -shared (the bit-identity contract).  False: plain executable (the
+  /// integration tests' mode), compiled -std=c++20 plus `optimization`.
   bool shared_object = false;
-  std::string optimization = "-O2";   ///< optimization flag
+  std::string optimization = "-O2";   ///< executables only
   /// Fallback for extra_cxx_flags() when the env var is unset.
   std::string extra_flags_fallback;
 };
@@ -89,8 +106,9 @@ struct ToolchainOptions {
   std::string cache_dir;
   /// Header include root; empty resolves the configure-time source dir.
   std::string include_dir;
-  /// Build tree holding the module archives; empty resolves the
-  /// configure-time binary dir.
+  /// Build tree holding the module archives and the precompiled
+  /// runtime header (cgen_pch/); empty resolves the configure-time
+  /// binary dir.
   std::string binary_dir;
   /// Extra-flags fallback; empty resolves the configure-time flags.
   std::string extra_flags_fallback;
@@ -104,6 +122,9 @@ struct CompileOutcome {
   std::string object_path;     ///< the cached shared object
   bool cache_hit = false;      ///< true: no toolchain invocation needed
   double compile_seconds = 0;  ///< toolchain wall time (0 on cache hit)
+  /// What the toolchain printed on a successful compile (warnings,
+  /// -H include traces); empty on a cache hit.
+  std::string toolchain_output;
 };
 
 /// Compiles `source` (an emitted evaluator TU) into a content-addressed

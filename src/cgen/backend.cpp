@@ -1,8 +1,13 @@
 #include "prophet/cgen/backend.hpp"
 
 #include <dlfcn.h>
+#include <link.h>
 
 #include <chrono>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -54,6 +59,71 @@ class SharedObject {
   void* handle_ = nullptr;
 };
 
+/// A loaded evaluator whose ABI version matched, with its entry points.
+struct LoadedEvaluator {
+  std::unique_ptr<SharedObject> object;
+  CgenRunFn run = nullptr;
+  CgenFreeFn free = nullptr;
+};
+
+/// Checks that `path` is an ELF object holding every extent its headers
+/// declare.  dlopen maps segments without comparing them to the file
+/// size, so a truncated object faults (SIGBUS) while it is relocated
+/// instead of failing to load.
+void check_object_extents(const std::string& path) {
+  const auto fail = [&path](const char* reason) {
+    throw CgenError("cannot load generated evaluator " + path + ": " +
+                    reason);
+  };
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    fail("cannot open the file");
+  }
+  const auto size = static_cast<std::uint64_t>(in.tellg());
+  const auto fits = [size](std::uint64_t offset, std::uint64_t length) {
+    return offset <= size && length <= size - offset;
+  };
+  ElfW(Ehdr) header{};
+  in.seekg(0);
+  if (!in.read(reinterpret_cast<char*>(&header), sizeof header) ||
+      std::memcmp(header.e_ident, ELFMAG, SELFMAG) != 0) {
+    fail("not an ELF object");
+  }
+  if (header.e_phentsize != sizeof(ElfW(Phdr)) ||
+      !fits(header.e_phoff,
+            std::uint64_t{header.e_phnum} * header.e_phentsize) ||
+      !fits(header.e_shoff,
+            std::uint64_t{header.e_shnum} * header.e_shentsize)) {
+    fail("truncated ELF object");
+  }
+  in.seekg(static_cast<std::streamoff>(header.e_phoff));
+  for (unsigned i = 0; i < header.e_phnum; ++i) {
+    ElfW(Phdr) segment{};
+    if (!in.read(reinterpret_cast<char*>(&segment), sizeof segment) ||
+        !fits(segment.p_offset, segment.p_filesz)) {
+      fail("truncated ELF object");
+    }
+  }
+}
+
+/// dlopens `path` and checks it is a cgen evaluator of this ABI; throws
+/// CgenError otherwise.
+LoadedEvaluator load_evaluator(const std::string& path) {
+  check_object_extents(path);
+  LoadedEvaluator loaded;
+  loaded.object = std::make_unique<SharedObject>(path);
+  const auto version =
+      loaded.object->symbol<CgenAbiVersionFn>(kCgenAbiVersionSymbol);
+  if (version() != kCgenAbiVersion) {
+    throw CgenError("generated evaluator ABI mismatch (object " +
+                    std::to_string(version()) + ", host " +
+                    std::to_string(kCgenAbiVersion) + ")");
+  }
+  loaded.run = loaded.object->symbol<CgenRunFn>(kCgenRunSymbol);
+  loaded.free = loaded.object->symbol<CgenFreeFn>(kCgenFreeSymbol);
+  return loaded;
+}
+
 /// C-compatible poll over the host budget, bound into the shared
 /// object's budget via guard::Budget::bind_external_cancel.
 int poll_host_budget(void* context) {
@@ -93,20 +163,27 @@ CodegenPrepared::CodegenPrepared(lower::ModelProgramPtr program,
   const auto started = std::chrono::steady_clock::now();
   impl_->program = std::move(program);
   const std::string source = emit_evaluator(*impl_->program);
-  const CompileOutcome compiled =
-      compile_shared_object(source, options.toolchain);
+  CompileOutcome compiled = compile_shared_object(source, options.toolchain);
+  LoadedEvaluator loaded;
+  try {
+    loaded = load_evaluator(compiled.object_path);
+  } catch (const CgenError&) {
+    // A cached object that does not load (truncated, garbage, foreign)
+    // is evicted and compiled once more; a fresh object that does not
+    // load is a real failure.
+    if (!compiled.cache_hit) {
+      throw;
+    }
+    std::error_code ec;
+    std::filesystem::remove(compiled.object_path, ec);
+    compiled = compile_shared_object(source, options.toolchain);
+    loaded = load_evaluator(compiled.object_path);
+  }
   impl_->object_path = compiled.object_path;
   impl_->cache_hit = compiled.cache_hit;
-  impl_->object = std::make_unique<SharedObject>(compiled.object_path);
-  const auto version =
-      impl_->object->symbol<CgenAbiVersionFn>(kCgenAbiVersionSymbol);
-  if (version() != kCgenAbiVersion) {
-    throw CgenError("generated evaluator ABI mismatch (object " +
-                    std::to_string(version()) + ", host " +
-                    std::to_string(kCgenAbiVersion) + ")");
-  }
-  impl_->run = impl_->object->symbol<CgenRunFn>(kCgenRunSymbol);
-  impl_->free = impl_->object->symbol<CgenFreeFn>(kCgenFreeSymbol);
+  impl_->object = std::move(loaded.object);
+  impl_->run = loaded.run;
+  impl_->free = loaded.free;
   impl_->prepare_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started)

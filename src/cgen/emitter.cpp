@@ -483,22 +483,9 @@ class Emitter {
             "expression program is\n"
          << "// transliterated bytecode — semantics (and bits) match the "
             "interpreter.\n"
-         << "#include <cmath>\n"
-         << "#include <cstddef>\n"
-         << "#include <cstdint>\n"
-         << "#include <limits>\n"
-         << "#include <new>\n"
-         << "#include <optional>\n"
-         << "#include <stdexcept>\n"
-         << "#include <string>\n"
-         << "#include <vector>\n"
-         << "\n"
-         << "#include \"prophet/cgen/abi.hpp\"\n"
-         << "#include \"prophet/estimator/estimator.hpp\"\n"
-         << "#include \"prophet/guard/guard.hpp\"\n"
-         << "#include \"prophet/machine/machine.hpp\"\n"
-         << "#include \"prophet/sim/engine.hpp\"\n"
-         << "#include \"prophet/workload/runtime.hpp\"\n"
+         // The first line of code: GCC applies a precompiled header only
+         // to the first include, so nothing but comments may precede it.
+         << "#include \"prophet/cgen/runtime.hpp\"\n"
          << "\n"
          << "namespace {\n"
          << "\n"

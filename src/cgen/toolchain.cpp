@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,11 @@
 #ifndef PROPHET_EXTRA_CXX_FLAGS
 #define PROPHET_EXTRA_CXX_FLAGS ""
 #endif
+// The evaluator flags have no fallback: CMake defines them once, for
+// this TU and for the precompiled runtime header alike.
+#ifndef PROPHET_CGEN_CXX_FLAGS
+#error "PROPHET_CGEN_CXX_FLAGS must be defined by the build"
+#endif
 
 namespace prophet::cgen {
 
@@ -36,6 +42,8 @@ std::string compiler_command() {
   }
   return "g++";
 }
+
+std::string_view evaluator_cxx_flags() { return PROPHET_CGEN_CXX_FLAGS; }
 
 std::string extra_cxx_flags(std::string_view fallback) {
   const char* flags = std::getenv("PROPHET_EXTRA_CXX_FLAGS");
@@ -64,17 +72,18 @@ std::vector<std::string> runtime_archives(std::string_view binary_dir) {
 
 std::string compile_command(const CompileSpec& spec) {
   std::ostringstream command;
-  command << compiler_command() << " -std=c++20 " << spec.optimization;
+  command << compiler_command();
   if (spec.shared_object) {
-    // -ffp-contract=off: no FMA contraction in the generated evaluator,
-    // whose arithmetic must be bit-identical to the VM's (compiled the
-    // same way).  -fvisibility=hidden keeps everything but the explicit
-    // extern "C" entry points out of the dynamic symbol table.
-    command << " -fPIC -shared -ffp-contract=off -fvisibility=hidden";
+    command << " " << evaluator_cxx_flags() << " -shared";
+  } else {
+    command << " -std=c++20 " << spec.optimization;
   }
   const std::string extra = extra_cxx_flags(spec.extra_flags_fallback);
   if (!extra.empty()) {
     command << " " << extra;
+  }
+  if (!spec.pch_dir.empty()) {
+    command << " -I" << spec.pch_dir;
   }
   command << " -I" << spec.include_dir << " " << spec.source_path;
   for (const auto& archive : spec.archives) {
@@ -163,6 +172,7 @@ CompileOutcome compile_shared_object(const std::string& source,
 
   CompileSpec spec;
   spec.include_dir = include_dir;
+  spec.pch_dir = binary_dir + "/cgen_pch";
   spec.archives = runtime_archives(binary_dir);
   spec.shared_object = true;
   spec.extra_flags_fallback = fallback;
@@ -196,21 +206,33 @@ CompileOutcome compile_shared_object(const std::string& source,
     options.fault_plan->visit("cgen-compile");
   }
 
+  // Names unique to this call: threads share the pid, so the pid alone
+  // would let two same-key compiles in one process write one file.
+  static std::atomic<unsigned long> serial{0};
+  const std::string temp = base.string() + ".tmp" +
+                           std::to_string(::getpid()) + "-" +
+                           std::to_string(serial.fetch_add(1));
+  const fs::path temp_source = temp + ".cpp";
+  const fs::path temp_object = temp + ".so";
   {
-    std::ofstream out(source_path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(temp_source, std::ios::binary | std::ios::trunc);
     if (!out.is_open()) {
       throw CgenError("cannot write generated source " +
-                      source_path.string());
+                      temp_source.string());
     }
     out << source;
   }
-
-  // Compile to a process-unique temporary, then rename into place:
-  // rename within one directory is atomic, so a concurrent producer of
-  // the same key leaves a valid object either way.
-  const fs::path temp_object =
-      base.string() + ".tmp" +
-      std::to_string(static_cast<unsigned long>(::getpid())) + ".so";
+  // Install the source before compiling it, so the object records the
+  // stable file name.  A concurrent producer of the same key renames an
+  // identical file over it; a compiler that already opened the old one
+  // keeps reading a complete copy.  The object is compiled to its
+  // temporary name and renamed into place the same way.
+  fs::rename(temp_source, source_path, ec);
+  if (ec) {
+    fs::remove(temp_source, ec);
+    throw CgenError("cannot install generated source " +
+                    source_path.string());
+  }
   spec.source_path = source_path.string();
   spec.output_path = temp_object.string();
   const std::string command = compile_command(spec);
@@ -232,6 +254,7 @@ CompileOutcome compile_shared_object(const std::string& source,
     throw CgenError("generated evaluator failed to compile (status " +
                     std::to_string(status) + "):\n" + head_of(output));
   }
+  outcome.toolchain_output = std::move(output);
   fs::rename(temp_object, object_path, ec);
   if (ec) {
     fs::remove(temp_object, ec);

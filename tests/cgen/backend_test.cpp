@@ -1,17 +1,20 @@
 // The codegen backend behind the PreparedModel contract: bit-identical
 // predictions against the simulator, shared non-null lowering, compile
-// cache reuse across prepares, race-free concurrent estimates, the
-// guard contract (structured limit trips), and the single-engine
-// factory.
+// cache reuse across prepares, recompilation of corrupt cached objects,
+// race-free concurrent estimates, the guard contract (structured limit
+// trips), and the single-engine factory.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "prophet/analytic/backend.hpp"
@@ -130,6 +133,58 @@ TEST(CodegenBackend, SecondPrepareHitsTheCompileCache) {
   // Both handles stay independently usable.
   expect_bit_identical(first->estimate(sp(2), no_trace()),
                        second->estimate(sp(2), no_trace()));
+}
+
+TEST(CodegenBackend, CorruptCachedObjectIsRecompiled) {
+  // Learn the object's cache file name (content-addressed: the same in
+  // every cache directory) and bytes from one cold compile.
+  const auto program = prophet::lower::lower(prophet::models::sample_model());
+  cgen::CodegenOptions options;
+  options.toolchain.cache_dir =
+      ::testing::TempDir() + "/cgen-backend-corrupt-reference";
+  std::filesystem::remove_all(options.toolchain.cache_dir);
+  std::string name;
+  std::string bytes;
+  {
+    const auto reference = cgen::CodegenBackend(options).prepare(program);
+    const auto& prepared =
+        dynamic_cast<const cgen::CodegenPrepared&>(*reference);
+    name = std::filesystem::path(prepared.object_path()).filename().string();
+    std::ifstream in(prepared.object_path(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 4096u);
+  const auto sim = prophet::analytic::SimulationBackend().prepare(program);
+
+  const std::pair<const char*, std::string> plants[] = {
+      {"garbage", "not an ELF object\n"},
+      {"truncated-header", bytes.substr(0, 64)},
+      {"truncated-half", bytes.substr(0, bytes.size() / 2)},
+  };
+  for (const auto& [label, content] : plants) {
+    SCOPED_TRACE(label);
+    options.toolchain.cache_dir =
+        ::testing::TempDir() + "/cgen-backend-corrupt-" + label;
+    std::filesystem::remove_all(options.toolchain.cache_dir);
+    std::filesystem::create_directories(options.toolchain.cache_dir);
+    std::ofstream(options.toolchain.cache_dir + "/" + name,
+                  std::ios::binary)
+        << content;
+
+    const cgen::CodegenBackend backend(options);
+    const auto healed = backend.prepare(program);
+    const auto& prepared = dynamic_cast<const cgen::CodegenPrepared&>(*healed);
+    EXPECT_FALSE(prepared.cache_hit());
+    EXPECT_EQ(std::filesystem::path(prepared.object_path()).filename(), name);
+    for (const int np : {1, 2, 4}) {
+      expect_bit_identical(sim->estimate(sp(np), no_trace()),
+                           healed->estimate(sp(np), no_trace()));
+    }
+    // The recompiled object replaced the planted one.
+    const auto again = backend.prepare(program);
+    EXPECT_TRUE(
+        dynamic_cast<const cgen::CodegenPrepared&>(*again).cache_hit());
+  }
 }
 
 TEST(CodegenBackend, ConcurrentEstimatesAreRaceFree) {

@@ -1,8 +1,9 @@
 // The evaluator emitter: generated translation units are deterministic
 // (the compile cache keys on the source bytes), self-describing (the
 // three C ABI entry points, visibility-exported), and carry the guard
-// contract (generated loops charge the budget) and the bit-identity
-// contract (float constants as hexfloat literals).
+// contract (generated loops charge the budget), the bit-identity
+// contract (float constants as hexfloat literals), and start with the
+// runtime header so its precompiled copy applies.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,6 +41,21 @@ TEST(Emitter, ExportsTheCAbiEntryPoints) {
   // And the version it reports is this build's.
   EXPECT_NE(source.find(std::to_string(cgen::kCgenAbiVersion)),
             std::string::npos);
+}
+
+TEST(Emitter, RuntimeHeaderIsTheFirstLineOfCode) {
+  // GCC applies the build's precompiled runtime header only to the first
+  // include of a unit, so only comments may come before it, and it is
+  // the unit's only include.
+  const std::string source = emit(prophet::models::sample_model());
+  std::size_t line = 0;
+  while (source.compare(line, 2, "//") == 0) {
+    line = source.find('\n', line) + 1;
+  }
+  const std::string include = "#include \"prophet/cgen/runtime.hpp\"\n";
+  EXPECT_EQ(source.substr(line, include.size()), include)
+      << source.substr(0, 512);
+  EXPECT_EQ(source.find("#include", line + 1), std::string::npos);
 }
 
 TEST(Emitter, FloatConstantsAreHexfloat) {

@@ -1,14 +1,20 @@
 // The host-toolchain driver: command construction (the one builder the
 // cgen backend and the out-of-process integration tests share), the
 // $CXX / $PROPHET_EXTRA_CXX_FLAGS environment contract, the FNV-1a
-// cache key function, the content-addressed compile cache, and the
-// structured failure paths (compile errors, injected faults).
+// cache key function, the content-addressed compile cache (including
+// concurrent same-source compiles in one process), and the structured
+// failure paths (compile errors, injected faults).
 #include <gtest/gtest.h>
 
+#include <dlfcn.h>
+
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "prophet/cgen/toolchain.hpp"
 #include "prophet/guard/guard.hpp"
@@ -120,13 +126,28 @@ TEST(Toolchain, CompileCommandShapes) {
   // stderr folds into stdout so failures carry the compiler's message.
   EXPECT_EQ(executable.rfind("2>&1"), executable.size() - 4);
 
-  spec.shared_object = true;
+  // Executables take the requested optimization level.
   spec.optimization = "-O1";
+  EXPECT_NE(cgen::compile_command(spec).find("g++ -std=c++20 -O1"),
+            std::string::npos);
+
+  spec.shared_object = true;
+  spec.pch_dir = "/build/cgen_pch";
   const std::string shared = cgen::compile_command(spec);
-  // The bit-identity contract: position-independent, no FMA contraction,
-  // and only the explicit entry points in the dynamic symbol table.
-  EXPECT_NE(shared.find("-O1"), std::string::npos);
-  EXPECT_NE(shared.find("-fPIC -shared -ffp-contract=off -fvisibility=hidden"),
+  // Shared objects always compile with the evaluator flags, the ones the
+  // runtime header is precompiled with: the bit-identity contract of
+  // position-independent code, no FMA contraction, and only the
+  // explicit entry points in the dynamic symbol table.
+  EXPECT_EQ(cgen::evaluator_cxx_flags(),
+            "-std=c++20 -O2 -fPIC -ffp-contract=off -fvisibility=hidden");
+  EXPECT_EQ(shared.rfind("g++ " + std::string(cgen::evaluator_cxx_flags()) +
+                             " -shared -fno-omit-frame-pointer ",
+                         0),
+            0u)
+      << shared;
+  EXPECT_EQ(shared.find("-O1"), std::string::npos) << shared;
+  // The precompiled-header directory is searched before the real one.
+  EXPECT_NE(shared.find("-I/build/cgen_pch -I/repo/include "),
             std::string::npos)
       << shared;
 }
@@ -159,6 +180,58 @@ TEST(Toolchain, CompileCacheHitsOnTheSecondBuild) {
   const auto other = cgen::compile_shared_object(source + "// v2\n", options);
   EXPECT_FALSE(other.cache_hit);
   EXPECT_NE(other.object_path, first.object_path);
+}
+
+TEST(Toolchain, SameSourceCompilesInOneProcessDoNotRace) {
+  // Threads share the pid: each compile must still write its own
+  // temporary source and object, or one thread installs another's
+  // half-written object.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  const std::string source =
+      "extern \"C\" __attribute__((visibility(\"default\"))) int "
+      "prophet_cgen_race_probe() { return 42; }\n";
+  for (int round = 0; round < kRounds; ++round) {
+    cgen::ToolchainOptions options;
+    options.cache_dir =
+        fresh_cache_dir("cgen-cache-race-test-" + std::to_string(round));
+    std::vector<std::string> paths(kThreads);
+    std::vector<std::string> errors(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        try {
+          paths[t] = cgen::compile_shared_object(source, options).object_path;
+        } catch (const std::exception& error) {
+          errors[t] = error.what();
+        }
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(errors[t], "") << "round " << round << " thread " << t;
+      EXPECT_EQ(paths[t], paths[0]);
+    }
+    void* handle = dlopen(paths[0].c_str(), RTLD_NOW | RTLD_LOCAL);
+    ASSERT_NE(handle, nullptr) << dlerror();
+    using ProbeFn = int (*)();
+    const auto probe =
+        reinterpret_cast<ProbeFn>(dlsym(handle, "prophet_cgen_race_probe"));
+    ASSERT_NE(probe, nullptr);
+    EXPECT_EQ(probe(), 42);
+    dlclose(handle);
+    // Only the installed source and object remain: no temporary leaks.
+    std::size_t files = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(options.cache_dir)) {
+      EXPECT_EQ(entry.path().string().find(".tmp"), std::string::npos)
+          << entry.path();
+      ++files;
+    }
+    EXPECT_EQ(files, 2u);
+  }
 }
 
 TEST(Toolchain, CompileFailureThrowsWithToolchainOutput) {
