@@ -23,11 +23,13 @@
 /// Invariant: hot paths emit through obs handles and POD counters, never
 /// through string lookups.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -252,8 +254,26 @@ class TraceLog {
           name_(std::move(name)),
           cat_(std::move(cat)),
           start_us_(log != nullptr ? log->now_us() : 0.0) {}
+    /// Names the span only when it is recorded: `name()` runs when `log`
+    /// is non-null, so an untraced caller builds no name.
+    template <typename NameFn>
+      requires std::is_invocable_r_v<std::string, NameFn&>
+    HostSpan(TraceLog* log, int pid, int tid, NameFn&& name, const char* cat)
+        : log_(log), pid_(pid), tid_(tid), start_us_(0.0) {
+      if (log != nullptr) {
+        name_ = name();
+        cat_ = cat;
+        names_built_.fetch_add(1, std::memory_order_relaxed);
+        start_us_ = log->now_us();
+      }
+    }
     HostSpan(const HostSpan&) = delete;
     HostSpan& operator=(const HostSpan&) = delete;
+
+    /// Names built by lazily named spans so far in this process.
+    [[nodiscard]] static std::uint64_t names_built() {
+      return names_built_.load(std::memory_order_relaxed);
+    }
 
     ~HostSpan() {
       if (log_ != nullptr) {
@@ -269,6 +289,7 @@ class TraceLog {
     std::string name_;
     std::string cat_;
     double start_us_;
+    static inline std::atomic<std::uint64_t> names_built_{0};
   };
 
   /// Metadata: lane labels shown by the trace viewer.

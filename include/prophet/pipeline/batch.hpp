@@ -1,8 +1,9 @@
 // Batch scenario sweeps — the pipeline of Fig. 2, prepared once per
 // model and evaluated many times over.
 //
-// The BatchRunner expands (model, SystemParameters) scenarios into jobs
-// and fans them out over a worker-thread pool.  By default it runs the
+// The BatchRunner stores sweeps of (model, SystemParameters) scenarios
+// and fans their jobs out over a worker-thread pool, which derives each
+// job from its id as it claims it.  By default it runs the
 // per-model half of the chain — XMI parse, model check, UML -> C++
 // transformation, Backend::prepare — exactly once per registered model
 // (the compiled-model cache), shares the immutable result read-only
@@ -29,9 +30,14 @@
 //   report.summary();  // per-scenario predictions + aggregate stats
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -145,17 +151,118 @@ struct BatchStats {
   ///@}
 };
 
-/// Receives streamed report text (BatchReport::write_summary/write_csv),
-/// one buffer's worth at a time, in order.
+/// Receives streamed report text (BatchReport::write_summary/write_csv,
+/// BatchOptions::csv_sink), one buffer's worth at a time, in order.
 using TextSink = std::function<void(std::string_view)>;
+
+/// The jobs of a batch — registered sweeps and scenarios, from which
+/// each job's identity is derived on demand; defined in the
+/// implementation.
+struct JobList;
+
+/// The per-job outcomes of a batch, stored by column: one array per
+/// numeric field, the error and tripped-limit texts in a sparse side
+/// table keyed by row, and each job's identity (id, model, parameters,
+/// seed) derived from the sweep definition instead of stored per row.
+/// Rows read back as ScenarioResult values, ordered by job id.
+class ResultTable {
+ public:
+  /// Reads the rows in order.  Each dereference yields the current row,
+  /// which stays valid until the iterator moves.
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;  ///< Single pass.
+    using value_type = ScenarioResult;                   ///< One row.
+    using difference_type = std::ptrdiff_t;              ///< Row distance.
+    using pointer = const ScenarioResult*;               ///< To the row.
+    using reference = const ScenarioResult&;             ///< To the row.
+
+    /// A singular iterator.
+    const_iterator() = default;
+    /// The current row.
+    reference operator*() const { return row_; }
+    /// The current row's members.
+    pointer operator->() const { return &row_; }
+    /// Moves to the next row.
+    const_iterator& operator++();
+    /// Moves to the next row.
+    void operator++(int) { ++*this; }
+    /// True when both stand at the same row.
+    bool operator==(const const_iterator& other) const {
+      return index_ == other.index_;
+    }
+
+   private:
+    friend class ResultTable;
+    const_iterator(const ResultTable* table, std::size_t index);
+
+    const ResultTable* table_ = nullptr;
+    std::size_t index_ = 0;
+    ScenarioResult row_;
+  };
+
+  /// Number of rows.
+  [[nodiscard]] std::size_t size() const { return ok_.size(); }
+  /// Row `row` as a value.
+  [[nodiscard]] ScenarioResult operator[](std::size_t row) const;
+  /// The first row.
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  /// Past the last row.
+  [[nodiscard]] const_iterator end() const { return {this, size()}; }
+
+  /// Appends one row (hand-built reports).
+  void push_back(const ScenarioResult& result);
+  /// Replaces the rows.
+  ResultTable& operator=(std::initializer_list<ScenarioResult> rows);
+
+ private:
+  friend class BatchRunner;
+  friend struct BatchReport;
+
+  /// Failure texts of one row.
+  struct Failure {
+    std::size_t row = 0;
+    std::string error;
+    std::string tripped_limit;
+  };
+
+  /// Sizes every column for `rows` rows of `jobs`.
+  void reset(std::shared_ptr<JobList> jobs, std::size_t rows);
+  /// Writes the numeric fields of `result` into row `row`.
+  void store(std::size_t row, const ScenarioResult& result);
+  /// Reads row `row`; `failure` is the row's side-table entry or null.
+  void read(std::size_t row, const Failure* failure,
+            ScenarioResult* out) const;
+  /// The side-table entry of `row`, or null.
+  [[nodiscard]] const Failure* failure_of(std::size_t row) const;
+  /// Streams every row's CSV (`csv`) or summary line into `sink`,
+  /// rendered on `threads` threads.
+  void stream_rows(bool csv, int threads, const TextSink& sink) const;
+
+  std::shared_ptr<JobList> jobs_;
+  std::vector<std::uint8_t> ok_;
+  std::vector<estimator::BackendKind> backend_;
+  std::vector<int> processes_;
+  /// events, check_warnings, generated_bytes.
+  std::array<std::vector<std::uint64_t>, 3> counts_;
+  /// The predictions, relative_error and the host times, in
+  /// ScenarioResult order.
+  std::array<std::vector<double>, 9> doubles_;
+  /// Sorted by row.
+  std::vector<Failure> failures_;
+  /// The summary's per-job lines, rendered while the jobs ran
+  /// (BatchOptions::render_summary), one string per claimed chunk.
+  std::vector<std::string> summary_rows_;
+};
 
 /// The collected outcome of one BatchRunner::run().
 struct BatchReport {
   /// Per-scenario outcomes, ordered by job id.
-  std::vector<ScenarioResult> results;
+  ResultTable results;
   /// Worker threads the batch actually used.
   int threads_used = 1;
-  /// End-to-end host time for the batch.
+  /// Host time from the start of the prepare phase to the last job's
+  /// completion.
   double wall_seconds = 0;
   /// Compiled-model cache (cached runs only): how many models made it
   /// through the whole compile chain — parse, check, transform,
@@ -189,8 +296,9 @@ struct BatchReport {
   /// (read from `metrics`).  Seconds print as `%.6f`.
   [[nodiscard]] std::string summary() const;
 
-  /// Streams summary() through one fixed buffer into `sink`, so the
-  /// whole document is never held in memory.
+  /// Streams summary() into `sink`, so the whole document is never held
+  /// in memory.  The per-job lines are rendered on `threads_used`
+  /// threads, or copied out when the run already rendered them.
   void write_summary(const TextSink& sink) const;
 
   /// Machine-readable CSV (header + one row per scenario).  Doubles are
@@ -198,7 +306,8 @@ struct BatchReport {
   /// bits, so diffs of the deterministic columns compare bits.
   [[nodiscard]] std::string to_csv() const;
 
-  /// Streams to_csv() through one fixed buffer into `sink`.
+  /// Streams to_csv() into `sink`, rendering the rows on `threads_used`
+  /// threads.
   void write_csv(const TextSink& sink) const;
 };
 
@@ -240,19 +349,31 @@ struct BatchOptions {
   /// workloads that want per-job fault containment of the pipeline
   /// stages themselves).  Predictions are bit-identical either way.
   bool isolate_jobs = false;
-  /// Lane width for batched estimation (cached runs): consecutive
-  /// same-model jobs are grouped into chunks of up to this many lanes
-  /// and evaluated through one PreparedModel::estimate_batch call — one
-  /// batched analytic walk instead of N scalar ones.  0 picks the
-  /// default width (8); 1 disables batching.  Batching engages only when
-  /// the analytic estimator is selected (the other backends'
-  /// estimate_batch is the scalar loop) and only on the unlimited fast
-  /// path (cached mode, no per-job limits or timeout, no fault plan); a
-  /// chunk that fails or is cancelled falls back to
-  /// per-job evaluation (counted in `batch.lanes_fallback`), so per-job
-  /// error isolation, budgets and tripped_limit reporting are unchanged.
-  /// Predictions are bit-identical at any lane width.
+  /// Lane width for batched estimation (cached runs): workers claim
+  /// chunks of up to this many consecutive same-model jobs and evaluate
+  /// each through one PreparedModel::estimate_batch call — one batched
+  /// analytic walk instead of N scalar ones.  0 picks the default width
+  /// (8); 1 disables batching.  Batching engages only when the analytic
+  /// estimator is selected (the other backends' estimate_batch is the
+  /// scalar loop) and only on the unlimited fast path (cached mode, no
+  /// per-job limits or timeout, no fault plan); otherwise jobs are
+  /// claimed one at a time.  A chunk that fails or is cancelled falls
+  /// back to per-job evaluation (counted in `batch.lanes_fallback`), so
+  /// per-job error isolation, budgets and tripped_limit reporting are
+  /// unchanged.  Predictions are bit-identical at any lane width.
   int batch_lanes = 0;
+  /// When set, run() streams the CSV document — byte-identical to the
+  /// report's to_csv() — into this sink while the jobs run: workers
+  /// render their chunks' rows and one writer thread emits them in job
+  /// order, holding at most a bounded window of chunks that finished
+  /// ahead of an unfinished one.  Every job gets its row, also in a
+  /// sweep cut short by its deadline or cancellation.  What the sink
+  /// throws ends the stream and is rethrown by run() once the jobs are
+  /// done.
+  TextSink csv_sink = nullptr;
+  /// Workers render each job's summary line as they finish their chunk,
+  /// so write_summary()/summary() after the run only copy the lines out.
+  bool render_summary = false;
   /// Collect engine counters (expr.*, sim.*, analytic.*, lower.*) into
   /// BatchReport::metrics.  Each worker counts into its own registry and
   /// the registries are merged after the pool joins, so the hot path
@@ -327,57 +448,47 @@ class BatchRunner {
   /// Queues one scenario for a registered model.
   void add_scenario(int model_index, machine::SystemParameters params);
 
-  /// Queues every scenario in `grid` for a registered model.
+  /// Queues every scenario in `grid` for a registered model.  The grid
+  /// is stored, not expanded: workers derive each job's parameters and
+  /// seed from its id.  Throws std::invalid_argument on an axis value
+  /// the parameter rejects and std::length_error past 2^31 - 1 jobs.
   void add_sweep(int model_index, const ScenarioGrid& grid);
 
-  /// Queues every scenario in `grid` for every registered model.
+  /// Queues every scenario in `grid` for every registered model, model
+  /// by model.
   void add_sweep_all(const ScenarioGrid& grid);
 
   /// Number of queued jobs.
-  [[nodiscard]] std::size_t job_count() const { return jobs_.size(); }
-  /// The queued jobs, in assignment order.
-  [[nodiscard]] const std::vector<BatchJob>& jobs() const { return jobs_; }
+  [[nodiscard]] std::size_t job_count() const;
+  /// Every queued job, in assignment order, derived from the sweeps
+  /// that queued them (materialized: O(jobs)).
+  [[nodiscard]] std::vector<BatchJob> jobs() const;
 
   /// Runs all queued jobs.  Results arrive in job order regardless of the
   /// thread count; jobs that fail are reported, never thrown.
   [[nodiscard]] BatchReport run() const;
 
  private:
-  struct ModelEntry {
-    std::string name;
-    std::string xmi;
-  };
-  // One compiled model of a cached run: the parsed uml::Model plus the
-  // PreparedModel handle(s) for the selected backend(s); defined in the
+  // One compiled model: the parsed uml::Model plus the PreparedModel
+  // handle(s) for the selected backend(s); defined in the
   // implementation file.
   struct CompiledEntry;
+  // The stateless Backend objects of the selected engine(s).
+  struct Backends;
 
-  /// Isolated-mode job: the full chain on the job's own model copy.  The
-  /// backends are constructed once per worker and passed in (any may be
-  /// null when the selected BackendKind does not need it).  `metrics`
-  /// (nullable) receives the job's engine counters; `sim_trace`
-  /// (nullable) receives the job's simulated timeline.
-  [[nodiscard]] ScenarioResult run_job(
-      const BatchJob& job, const estimator::Backend* sim_backend,
-      const estimator::Backend* analytic_backend,
-      const estimator::Backend* codegen_backend, obs::Registry* metrics,
-      trace::Trace* sim_trace, const guard::Budget* sweep) const;
-
-  /// Cached-mode job: parameter-only evaluation against the shared
-  /// compiled entry of the job's model.
-  [[nodiscard]] ScenarioResult run_job_cached(
-      const BatchJob& job, const CompiledEntry& entry, obs::Registry* metrics,
-      trace::Trace* sim_trace, const guard::Budget* sweep) const;
-
-  /// Cached-mode lane chunk: `count` consecutive same-model jobs
-  /// (`jobs[0..count)`) evaluated through one
-  /// PreparedModel::estimate_batch call, writing `results[0..count)`.
-  /// Any failure abandons the chunk and re-runs every lane through
-  /// run_job_cached for exact per-job error attribution.
-  void run_chunk_cached(const BatchJob* jobs, std::size_t count,
-                        const CompiledEntry& entry, obs::Registry* metrics,
-                        const guard::Budget* sweep,
-                        ScenarioResult* results) const;
+  /// The one job path: evaluates `lanes` — consecutive jobs of one
+  /// model with their identity filled in, `params` their parameters —
+  /// against `entry`, through one PreparedModel::estimate_batch call per
+  /// engine when there are several lanes.  Any failure in a multi-lane
+  /// chunk re-runs every lane alone, for exact per-job error
+  /// attribution.  A null `entry` (isolated mode) compiles one for the
+  /// job with `backends` and charges its stages to the job.  `metrics`
+  /// and `sim_trace` are nullable.
+  void run_chunk(const CompiledEntry* entry, const Backends& backends,
+                 std::span<ScenarioResult> lanes,
+                 std::span<const machine::SystemParameters> params,
+                 obs::Registry* metrics, trace::Trace* sim_trace,
+                 const guard::Budget* sweep) const;
 
   /// Compiles every model referenced by at least one job (parse -> check
   /// -> transform -> prepare) on up to `threads` workers; per-model
@@ -386,22 +497,20 @@ class BatchRunner {
   /// receives one "compile <model>" span per model on the compiling
   /// worker's lane.
   [[nodiscard]] std::vector<CompiledEntry> compile_models(
-      int threads, int* compiled, obs::TraceLog* trace_log) const;
+      const Backends& backends, int threads, int* compiled,
+      obs::TraceLog* trace_log) const;
 
-  /// One model's compile chain; writes the outcome into *out.
-  void compile_one(std::size_t m, CompiledEntry* out) const;
-
-  /// The per-model stage chain both modes share: parse -> check ->
-  /// transform.  Returns a stage-prefixed error ("" on success); stage
-  /// timings land in the out-params.
-  [[nodiscard]] std::string run_model_stages(
-      std::size_t model_index, uml::Model* model, std::size_t* warnings,
-      std::size_t* generated_bytes, double* parse_seconds,
-      double* check_seconds, double* transform_seconds) const;
+  /// One model's compile chain — parse, check, transform, lower,
+  /// Backend::prepare — with its stage errors and times; writes the
+  /// outcome into *out.
+  void compile_one(std::size_t m, const Backends& backends,
+                   CompiledEntry* out) const;
 
   BatchOptions options_;
-  std::vector<ModelEntry> models_;
-  std::vector<BatchJob> jobs_;
+  /// The registered models' XMI texts (names live in `jobs_`).
+  std::vector<std::string> models_;
+  /// Shared with the reports of earlier runs; copied before a change.
+  std::shared_ptr<JobList> jobs_;
 };
 
 /// The per-job seed derivation (SplitMix64 over base_seed + job id);

@@ -10,6 +10,7 @@
 //   auto grid = pipeline::ScenarioGrid::parse("np=1..8:*2 nodes=1,2");
 //   grid.size();    // 8 scenarios
 //   grid.expand();  // row-major: first axis varies slowest
+//   grid.at(5);     // the sixth scenario alone
 #pragma once
 
 #include <cstddef>
@@ -62,6 +63,9 @@ class ScenarioGrid {
   /// The cross-product, row-major: the first axis varies slowest, the
   /// last fastest — "np=1,2 nn=1,2" yields (1,1) (1,2) (2,1) (2,2).
   [[nodiscard]] std::vector<machine::SystemParameters> expand() const;
+
+  /// Scenario `ordinal` of expand(), computed alone (ordinal < size()).
+  [[nodiscard]] machine::SystemParameters at(std::size_t ordinal) const;
 
   /// Sets one named parameter on `params`.  Integer SP fields are
   /// rounded; throws std::invalid_argument for unknown names.

@@ -1,13 +1,19 @@
 #include "prophet/cgen/toolchain.hpp"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <system_error>
 
@@ -154,6 +160,91 @@ std::string head_of(const std::string& text, std::size_t max_bytes = 4096) {
   return text.substr(0, max_bytes) + "\n... (toolchain output truncated)";
 }
 
+/// Compiles `source` into `object_path` under the cache's temporary
+/// naming; fills the outcome's timing and toolchain output.
+void compile_object(const std::string& source,
+                    const ToolchainOptions& options, CompileSpec spec,
+                    const fs::path& base, const fs::path& source_path,
+                    const fs::path& object_path, CompileOutcome* result) {
+  CompileOutcome& outcome = *result;
+  std::error_code ec;
+  if (options.fault_plan != nullptr) {
+    options.fault_plan->visit("cgen-compile");
+  }
+
+  // Names unique to this call: the pid keeps processes apart, the serial
+  // keeps apart compiles of different keys in one process.
+  static std::atomic<unsigned long> serial{0};
+  const std::string temp = base.string() + ".tmp" +
+                           std::to_string(::getpid()) + "-" +
+                           std::to_string(serial.fetch_add(1));
+  const fs::path temp_source = temp + ".cpp";
+  const fs::path temp_object = temp + ".so";
+  {
+    std::ofstream out(temp_source, std::ios::binary | std::ios::trunc);
+    if (!out.is_open()) {
+      throw CgenError("cannot write generated source " +
+                      temp_source.string());
+    }
+    out << source;
+  }
+  // Install the source before compiling it, so the object records the
+  // stable file name.  A concurrent producer of the same key renames an
+  // identical file over it; a compiler that already opened the old one
+  // keeps reading a complete copy.  The object is compiled to its
+  // temporary name and renamed into place the same way.
+  fs::rename(temp_source, source_path, ec);
+  if (ec) {
+    fs::remove(temp_source, ec);
+    throw CgenError("cannot install generated source " +
+                    source_path.string());
+  }
+  spec.source_path = source_path.string();
+  spec.output_path = temp_object.string();
+  const std::string command = compile_command(spec);
+
+  const auto started = std::chrono::steady_clock::now();
+  std::string output;
+  const int status = run_command(command, &output);
+  outcome.compile_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started)
+          .count();
+  if (status != 0) {
+    fs::remove(temp_object, ec);
+    // The shell exits 127 when it cannot find the command; any other
+    // failure is the compiler's or the linker's, whatever its text says.
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 127) {
+      throw CgenError("no usable C++ toolchain ('" + compiler_command() +
+                      "'): " + head_of(output));
+    }
+    throw CgenError("generated evaluator failed to compile (status " +
+                    std::to_string(status) + "):\n" + head_of(output));
+  }
+  outcome.toolchain_output = std::move(output);
+  fs::rename(temp_object, object_path, ec);
+  if (ec) {
+    fs::remove(temp_object, ec);
+    // A concurrent producer may have won the rename; the object is
+    // valid either way as long as it exists now.
+    if (!fs::exists(object_path, ec)) {
+      throw CgenError("cannot install compiled evaluator " +
+                      object_path.string());
+    }
+  }
+}
+
+/// One compile in flight in this process.
+struct Flight {
+  bool landed = false;
+  std::exception_ptr error;
+};
+
+/// Compiles in flight, by object path.
+std::mutex g_flights_mutex;
+std::condition_variable g_flight_landed;
+std::map<std::string, std::shared_ptr<Flight>> g_flights;
+
 }  // namespace
 
 CompileOutcome compile_shared_object(const std::string& source,
@@ -202,68 +293,38 @@ CompileOutcome compile_shared_object(const std::string& source,
     return outcome;
   }
 
-  if (options.fault_plan != nullptr) {
-    options.fault_plan->visit("cgen-compile");
-  }
-
-  // Names unique to this call: threads share the pid, so the pid alone
-  // would let two same-key compiles in one process write one file.
-  static std::atomic<unsigned long> serial{0};
-  const std::string temp = base.string() + ".tmp" +
-                           std::to_string(::getpid()) + "-" +
-                           std::to_string(serial.fetch_add(1));
-  const fs::path temp_source = temp + ".cpp";
-  const fs::path temp_object = temp + ".so";
+  // One compile per key at a time in this process: later callers wait
+  // for the first and share its outcome — its object, as a cache hit,
+  // or its error.
+  std::shared_ptr<Flight> flight;
   {
-    std::ofstream out(temp_source, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      throw CgenError("cannot write generated source " +
-                      temp_source.string());
+    std::unique_lock<std::mutex> lock(g_flights_mutex);
+    auto [it, first] = g_flights.try_emplace(outcome.object_path);
+    if (!first) {
+      flight = it->second;
+      g_flight_landed.wait(lock, [&flight] { return flight->landed; });
+      if (flight->error) {
+        std::rethrow_exception(flight->error);
+      }
+      outcome.cache_hit = true;
+      return outcome;
     }
-    out << source;
+    it->second = flight = std::make_shared<Flight>();
   }
-  // Install the source before compiling it, so the object records the
-  // stable file name.  A concurrent producer of the same key renames an
-  // identical file over it; a compiler that already opened the old one
-  // keeps reading a complete copy.  The object is compiled to its
-  // temporary name and renamed into place the same way.
-  fs::rename(temp_source, source_path, ec);
-  if (ec) {
-    fs::remove(temp_source, ec);
-    throw CgenError("cannot install generated source " +
-                    source_path.string());
+  try {
+    compile_object(source, options, spec, base, source_path, object_path,
+                   &outcome);
+  } catch (...) {
+    flight->error = std::current_exception();
   }
-  spec.source_path = source_path.string();
-  spec.output_path = temp_object.string();
-  const std::string command = compile_command(spec);
-
-  const auto started = std::chrono::steady_clock::now();
-  std::string output;
-  const int status = run_command(command, &output);
-  outcome.compile_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-  if (status != 0) {
-    fs::remove(temp_object, ec);
-    if (output.find("not found") != std::string::npos ||
-        output.find("No such file") != std::string::npos) {
-      throw CgenError("no usable C++ toolchain ('" + compiler_command() +
-                      "'): " + head_of(output));
-    }
-    throw CgenError("generated evaluator failed to compile (status " +
-                    std::to_string(status) + "):\n" + head_of(output));
+  {
+    const std::lock_guard<std::mutex> lock(g_flights_mutex);
+    flight->landed = true;
+    g_flights.erase(outcome.object_path);
   }
-  outcome.toolchain_output = std::move(output);
-  fs::rename(temp_object, object_path, ec);
-  if (ec) {
-    fs::remove(temp_object, ec);
-    // A concurrent producer may have won the rename; the object is
-    // valid either way as long as it exists now.
-    if (!fs::exists(object_path, ec)) {
-      throw CgenError("cannot install compiled evaluator " +
-                      object_path.string());
-    }
+  g_flight_landed.notify_all();
+  if (flight->error) {
+    std::rethrow_exception(flight->error);
   }
   return outcome;
 }

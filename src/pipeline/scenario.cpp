@@ -245,31 +245,24 @@ std::size_t ScenarioGrid::size() const {
 }
 
 std::vector<machine::SystemParameters> ScenarioGrid::expand() const {
+  const std::size_t count = size();
   std::vector<machine::SystemParameters> scenarios;
-  scenarios.reserve(size());
-  // Odometer over the axes: the last axis turns fastest.
-  std::vector<std::size_t> index(axes_.size(), 0);
-  for (;;) {
-    machine::SystemParameters params = base_;
-    for (std::size_t a = 0; a < axes_.size(); ++a) {
-      apply(params, axes_[a].name, axes_[a].values[index[a]]);
-    }
-    scenarios.push_back(params);
-    std::size_t a = axes_.size();
-    while (a > 0) {
-      --a;
-      if (++index[a] < axes_[a].values.size()) {
-        break;
-      }
-      index[a] = 0;
-      if (a == 0) {
-        return scenarios;
-      }
-    }
-    if (axes_.empty()) {
-      return scenarios;
-    }
+  scenarios.reserve(count);
+  for (std::size_t ordinal = 0; ordinal < count; ++ordinal) {
+    scenarios.push_back(at(ordinal));
   }
+  return scenarios;
+}
+
+machine::SystemParameters ScenarioGrid::at(std::size_t ordinal) const {
+  // Mixed-radix digits of the ordinal, the last axis turning fastest.
+  machine::SystemParameters params = base_;
+  for (std::size_t a = axes_.size(); a-- > 0;) {
+    const std::vector<double>& values = axes_[a].values;
+    apply(params, axes_[a].name, values[ordinal % values.size()]);
+    ordinal /= values.size();
+  }
+  return params;
 }
 
 }  // namespace prophet::pipeline

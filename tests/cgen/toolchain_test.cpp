@@ -261,6 +261,77 @@ TEST(Toolchain, MissingCompilerDegradesToStructuredError) {
   }
 }
 
+TEST(Toolchain, NonexistentCompilerPathIsAMissingToolchain) {
+  // The shell cannot run the command at all (exit status 127).
+  const ScopedEnv cxx("CXX", "/nonexistent/prophet/bin/c++");
+  cgen::ToolchainOptions options;
+  options.cache_dir = fresh_cache_dir("cgen-cache-nocc-path-test");
+  try {
+    (void)cgen::compile_shared_object("int ok = 2;\n", options);
+    FAIL() << "expected CgenError";
+  } catch (const cgen::CgenError& error) {
+    EXPECT_NE(std::string(error.what()).find("no usable C++ toolchain"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Toolchain, MissingArchiveIsACompileFailureNotAMissingToolchain) {
+  // A build tree without the runtime archives: the compiler runs and the
+  // link fails with "No such file or directory", which must not read as
+  // a missing toolchain.
+  cgen::ToolchainOptions options;
+  options.cache_dir = fresh_cache_dir("cgen-cache-no-archive-test");
+  options.binary_dir = fresh_cache_dir("cgen-tree-without-archives");
+  try {
+    (void)cgen::compile_shared_object("int ok = 3;\n", options);
+    FAIL() << "expected CgenError";
+  } catch (const cgen::CgenError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("generated evaluator failed to compile"),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("libprophet_"), std::string::npos) << message;
+    EXPECT_EQ(message.find("no usable C++ toolchain"), std::string::npos)
+        << message;
+  }
+}
+
+TEST(Toolchain, SameKeyCompilesInOneProcessRunTheToolchainOnce) {
+  // Concurrent compiles of one source share one toolchain run; a second
+  // run would reach the second visit of the compile site and fail.
+  prophet::guard::FaultPlan plan =
+      prophet::guard::FaultPlan::parse("cgen-compile@2");
+  cgen::ToolchainOptions options;
+  options.cache_dir = fresh_cache_dir("cgen-cache-single-flight-test");
+  options.fault_plan = &plan;
+  const std::string source =
+      "extern \"C\" int prophet_cgen_flight_probe() { return 5; }\n";
+  constexpr int kThreads = 4;
+  std::vector<cgen::CompileOutcome> outcomes(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        outcomes[t] = cgen::compile_shared_object(source, options);
+      } catch (const std::exception& error) {
+        errors[t] = error.what();
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  int compiled = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(errors[t], "") << "thread " << t;
+    EXPECT_EQ(outcomes[t].object_path, outcomes[0].object_path);
+    compiled += outcomes[t].cache_hit ? 0 : 1;
+  }
+  EXPECT_EQ(compiled, 1);
+}
+
 TEST(Toolchain, FaultSiteFiresBeforeTheCompile) {
   prophet::guard::FaultPlan plan =
       prophet::guard::FaultPlan::parse("cgen-compile");

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -220,6 +221,33 @@ TEST(ProphetcCli, SweepCsvUnwritablePathFailsBeforeAnyJobRuns) {
       << result.output;
   EXPECT_EQ(result.output.find("job(s)"), std::string::npos)
       << result.output;
+}
+
+TEST(ProphetcCli, InterruptedSweepCsvHasEveryRowInJobOrder) {
+  // SIGINT mid-sweep: the two running @spin jobs are cancelled, the
+  // other six never start, and the CSV streamed to the file still holds
+  // one row per job, in job order.
+  const std::string csv = ::testing::TempDir() + "/interrupted-sweep.csv";
+  std::filesystem::remove(csv);
+  const auto result = run_command(
+      "timeout --preserve-status -s INT 1 " + prophetc() +
+      " sweep '@spin(trips=1000000000000)' --grid 'np=1..8' --threads 2 "
+      "--csv " +
+      csv);
+  EXPECT_EQ(exit_code(result.status), 1) << result.output;
+  EXPECT_NE(result.output.find("interrupted"), std::string::npos)
+      << result.output;
+  std::ifstream in(csv);
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(in, line);) {
+    rows.push_back(line);
+  }
+  ASSERT_EQ(rows.size(), 9u) << result.output;
+  for (std::size_t job = 0; job < 8; ++job) {
+    const std::string& row = rows[job + 1];
+    EXPECT_EQ(row.substr(0, row.find(',')), std::to_string(job)) << row;
+    EXPECT_NE(row.find(",cancelled,"), std::string::npos) << row;
+  }
 }
 
 }  // namespace

@@ -291,6 +291,42 @@ TEST(BatchFaults, CgenCompileFaultFailsOneModelNotTheBatch) {
   EXPECT_GT(report.results[1].codegen_predicted, 0.0);
 }
 
+TEST(BatchFaults, SameModelCompilesOnceAcrossTheWorkers) {
+  // Four copies of one model on four workers, from an empty cgen cache:
+  // one toolchain run serves them all.  A second run would reach the
+  // second visit of the compile site and fail its model.
+  const std::string cache =
+      ::testing::TempDir() + "/cgen-single-flight-cache";
+  std::filesystem::remove_all(cache);
+  const char* saved = std::getenv("PROPHET_CGEN_CACHE");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("PROPHET_CGEN_CACHE", cache.c_str(), 1);
+
+  guard::FaultPlan plan = guard::FaultPlan::parse("cgen-compile@2");
+  BatchOptions options;
+  options.threads = 4;
+  options.backend = BackendKind::Codegen;
+  options.collect_metrics = true;
+  options.fault_plan = &plan;
+  BatchRunner runner(options);
+  for (int copy = 0; copy < 4; ++copy) {
+    runner.add_model_reference("@stencil2d");
+  }
+  runner.add_sweep_all(ScenarioGrid::parse("np=2", {}));
+
+  const BatchReport report = runner.run();
+  if (saved != nullptr) {
+    ::setenv("PROPHET_CGEN_CACHE", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("PROPHET_CGEN_CACHE");
+  }
+  ASSERT_EQ(report.results.size(), 4u);
+  for (const auto& result : report.results) {
+    EXPECT_TRUE(result.ok) << result.error;
+  }
+  EXPECT_EQ(report.metrics.counter_value("codegen.cache_hits"), 3u);
+}
+
 TEST(BatchGuards, HiddenSpinModelResolvesButIsUnlisted) {
   const auto& registry = prophet::models::Registry::builtin();
   EXPECT_NE(registry.find("spin"), nullptr);

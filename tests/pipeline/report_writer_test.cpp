@@ -1,7 +1,10 @@
 // The streamed report writer behind BatchReport::to_csv and summary():
 // CSV doubles read back to the same bits, summary seconds match printf's
 // "%.6f" at any magnitude, and RFC 4180 fields and whole documents come
-// out intact across the writer's buffer flushes.
+// out intact across the writer's buffer flushes.  The CSV a run streams
+// while its jobs execute (BatchOptions::csv_sink) is byte-identical to
+// the report's to_csv() of the same run, whatever the thread count, lane
+// width, isolation, faults or deadline.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,17 +13,24 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "prophet/estimator/backend.hpp"
+#include "prophet/guard/guard.hpp"
+#include "prophet/obs/obs.hpp"
 #include "prophet/pipeline/batch.hpp"
+#include "prophet/pipeline/scenario.hpp"
 
 namespace {
 
 using prophet::estimator::BackendKind;
+using prophet::pipeline::BatchOptions;
 using prophet::pipeline::BatchReport;
+using prophet::pipeline::BatchRunner;
+using prophet::pipeline::ScenarioGrid;
 using prophet::pipeline::ScenarioResult;
 
 using Row = std::vector<std::string>;
@@ -263,6 +273,184 @@ TEST(ReportWriter, StreamsLargeReportsInBufferSizedChunks) {
   EXPECT_GT(summary_chunks.size(), 1u);
   EXPECT_EQ(concat(summary_chunks), report.summary());
   EXPECT_NE(report.summary().find("ok 20000 / failed 0;"), std::string::npos);
+}
+
+/// One sweep of `models` over `grid`: the CSV it streamed while running
+/// and the report it returned.
+struct StreamedRun {
+  std::string streamed;
+  BatchReport report;
+};
+
+StreamedRun streamed_run(BatchOptions options,
+                         const std::vector<std::string>& models,
+                         const std::string& grid) {
+  StreamedRun run;
+  options.csv_sink = [&run](std::string_view chunk) {
+    run.streamed.append(chunk);
+  };
+  BatchRunner runner(options);
+  for (const auto& model : models) {
+    runner.add_model_reference(model);
+  }
+  runner.add_sweep_all(ScenarioGrid::parse(grid));
+  run.report = runner.run();
+  return run;
+}
+
+/// Columns 1-17 (the deterministic ones) of every row.
+std::vector<Row> stable_columns(const std::string& csv) {
+  std::vector<Row> rows = parse_csv(csv);
+  for (Row& row : rows) {
+    row.resize(17);
+  }
+  return rows;
+}
+
+/// Asserts one row per job, job ids 0..n-1 in order.
+void expect_rows_in_job_order(const std::string& csv, std::size_t jobs) {
+  const auto rows = parse_csv(csv);
+  ASSERT_EQ(rows.size(), jobs + 1);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    EXPECT_EQ(rows[i + 1][0], std::to_string(i));
+  }
+}
+
+TEST(StreamedCsv, MatchesToCsvAtAnyThreadCountAndLaneWidth) {
+  const std::vector<std::string> models = {"@kernel6", "@sample"};
+  const std::string grid = "np=1..16 nodes=1..4";
+  std::vector<Row> reference;
+  for (const int threads : {1, 3, 4}) {
+    for (const int lanes : {1, 8}) {
+      BatchOptions options;
+      options.threads = threads;
+      options.batch_lanes = lanes;
+      options.backend = BackendKind::Analytic;
+      options.render_summary = true;
+      const StreamedRun run = streamed_run(options, models, grid);
+      EXPECT_EQ(run.streamed, run.report.to_csv())
+          << threads << " threads, " << lanes << " lanes";
+      expect_rows_in_job_order(run.streamed, 128);
+      if (reference.empty()) {
+        reference = stable_columns(run.streamed);
+      }
+      EXPECT_EQ(stable_columns(run.streamed), reference)
+          << threads << " threads, " << lanes << " lanes";
+      // Summary lines rendered during the run read like rendered after.
+      BatchReport rendered = run.report;
+      rendered.results = {};
+      for (const ScenarioResult& result : run.report.results) {
+        rendered.results.push_back(result);
+      }
+      EXPECT_EQ(run.report.summary(), rendered.summary());
+    }
+  }
+}
+
+TEST(StreamedCsv, MatchesToCsvForIsolatedAndCrossValidatingSweeps) {
+  for (const bool isolate : {false, true}) {
+    BatchOptions options;
+    options.threads = 3;
+    options.isolate_jobs = isolate;
+    options.backend = BackendKind::Both;
+    const StreamedRun run =
+        streamed_run(options, {"@kernel6", "@sample"}, "np=2,4 nodes=1,2");
+    EXPECT_EQ(run.streamed, run.report.to_csv()) << "isolate " << isolate;
+    expect_rows_in_job_order(run.streamed, 8);
+    EXPECT_EQ(run.report.stats().failed, 0u) << run.streamed;
+  }
+}
+
+TEST(StreamedCsv, MatchesToCsvUnderInjectedFaults) {
+  prophet::guard::FaultPlan plan =
+      prophet::guard::FaultPlan::parse("estimate%0.3", 11);
+  BatchOptions options;
+  options.threads = 3;
+  options.fault_plan = &plan;
+  const StreamedRun run =
+      streamed_run(options, {"@sample", "@kernel6"}, "np=1..8 nodes=1,2");
+  EXPECT_EQ(run.streamed, run.report.to_csv());
+  expect_rows_in_job_order(run.streamed, 32);
+  EXPECT_GT(run.report.stats().failed, 0u);
+  EXPECT_NE(run.streamed.find("injected fault"), std::string::npos);
+}
+
+TEST(StreamedCsv, DeadlineCutSweepStreamsEveryRowInJobOrder) {
+  // @sample's jobs finish at once; @spin's never would.  The deadline
+  // cancels the running ones and fails the rest unstarted, and every
+  // job still gets its row.
+  BatchOptions options;
+  options.threads = 2;
+  options.deadline_seconds = 0.2;
+  const StreamedRun run = streamed_run(
+      options, {"@sample", "@spin(trips=1000000000000)"}, "np=1..8");
+  EXPECT_EQ(run.streamed, run.report.to_csv());
+  expect_rows_in_job_order(run.streamed, 16);
+  const auto stats = run.report.stats();
+  EXPECT_EQ(stats.ok, 8u);
+  EXPECT_EQ(stats.timed_out, 8u);
+  EXPECT_NE(run.streamed.find("deadline exceeded before the job started"),
+            std::string::npos);
+}
+
+TEST(StreamedCsv, CancelledSweepStreamsEveryRowInJobOrder) {
+  // What SIGINT does to `prophetc sweep`: the sweep budget is cancelled
+  // mid-run.
+  prophet::guard::Budget interrupt;
+  BatchOptions options;
+  options.threads = 2;
+  options.sweep_budget = &interrupt;
+  options.on_progress = [&interrupt](
+                            const prophet::pipeline::BatchProgress& progress) {
+    if (progress.done >= 8) {
+      interrupt.cancel();
+    }
+  };
+  options.progress_interval_seconds = 0.01;
+  const StreamedRun run = streamed_run(
+      options, {"@sample", "@spin(trips=1000000000000)"}, "np=1..8");
+  EXPECT_EQ(run.streamed, run.report.to_csv());
+  expect_rows_in_job_order(run.streamed, 16);
+  EXPECT_EQ(run.report.stats().cancelled, 8u);
+}
+
+TEST(StreamedCsv, UntracedSweepBuildsNoSpanNames) {
+  using Span = prophet::obs::TraceLog::HostSpan;
+  for (const bool isolate : {false, true}) {
+    BatchOptions options;
+    options.threads = 2;
+    options.isolate_jobs = isolate;
+    options.backend = BackendKind::Analytic;
+    const auto before = Span::names_built();
+    (void)streamed_run(options, {"@sample"}, "np=1..16");
+    EXPECT_EQ(Span::names_built(), before) << "isolate " << isolate;
+    options.collect_trace = true;
+    (void)streamed_run(options, {"@sample"}, "np=1..16");
+    EXPECT_GT(Span::names_built(), before) << "isolate " << isolate;
+  }
+}
+
+TEST(StreamedCsv, ThrowingSinkReachesTheCaller) {
+  // The rows render on worker threads and a writer thread calls the
+  // sink; what the sink throws still reaches the caller.
+  const auto throwing = [](std::string_view) {
+    throw std::runtime_error("sink full");
+  };
+  BatchReport report;
+  for (int i = 0; i < 10000; ++i) {
+    report.results.push_back(ok_result(i, 1.0));
+  }
+  report.threads_used = 4;
+  EXPECT_THROW(report.write_csv(throwing), std::runtime_error);
+  EXPECT_THROW(report.write_summary(throwing), std::runtime_error);
+
+  BatchOptions options;
+  options.threads = 2;
+  options.csv_sink = throwing;
+  BatchRunner runner(options);
+  runner.add_model_reference("@sample");
+  runner.add_sweep_all(ScenarioGrid::parse("np=1..4"));
+  EXPECT_THROW((void)runner.run(), std::runtime_error);
 }
 
 }  // namespace

@@ -878,6 +878,17 @@ int cmd_sweep(const std::vector<std::string>& args) {
         };
   }
 
+  // The summary lines render as the jobs finish, and the CSV streams to
+  // its file while later jobs still run.  The file is opened below,
+  // before any job runs, so an unwritable path fails at once instead of
+  // after the whole sweep.
+  options.render_summary = true;
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> csv(nullptr, &std::fclose);
+  if (!csv_path.empty()) {
+    options.csv_sink = [&csv](std::string_view chunk) {
+      std::fwrite(chunk.data(), 1, chunk.size(), csv.get());
+    };
+  }
   prophet::pipeline::BatchRunner runner(options);
   for (const auto& input : inputs) {
     const int index = add_sweep_model(runner, input);
@@ -896,9 +907,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
         index, prophet::pipeline::ScenarioGrid::parse(grid_spec, model_base));
   }
 
-  // The CSV is opened before any job runs, so an unwritable path fails
-  // at once instead of after the whole sweep.
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> csv(nullptr, &std::fclose);
   if (!csv_path.empty()) {
     csv.reset(std::fopen(csv_path.c_str(), "w"));
     if (csv == nullptr) {
@@ -917,7 +925,6 @@ int cmd_sweep(const std::vector<std::string>& args) {
   }
   report.write_summary(stdio_sink(stdout));
   if (csv != nullptr) {
-    report.write_csv(stdio_sink(csv.get()));
     // A full disk shows up here, at the last flush, not at fopen.
     const bool failed = std::ferror(csv.get()) != 0;
     if (std::fclose(csv.release()) != 0 || failed) {
