@@ -347,6 +347,16 @@ TEST(StreamedCsv, MatchesToCsvAtAnyThreadCountAndLaneWidth) {
   }
 }
 
+TEST(StreamedCsv, EmptyBatchStreamsTheHeaderOnly) {
+  BatchOptions options;
+  options.threads = 4;
+  options.render_summary = true;
+  const StreamedRun run = streamed_run(options, {}, "np=1..4");
+  EXPECT_EQ(run.streamed, run.report.to_csv());
+  EXPECT_EQ(parse_csv(run.streamed).size(), 1u);
+  EXPECT_NE(run.report.summary().find("0 job(s)"), std::string::npos);
+}
+
 TEST(StreamedCsv, MatchesToCsvForIsolatedAndCrossValidatingSweeps) {
   for (const bool isolate : {false, true}) {
     BatchOptions options;
