@@ -235,9 +235,8 @@ class ResultTable {
             ScenarioResult* out) const;
   /// The side-table entry of `row`, or null.
   [[nodiscard]] const Failure* failure_of(std::size_t row) const;
-  /// Streams every row's CSV (`csv`) or summary line into `sink`,
-  /// rendered on `threads` threads.
-  void stream_rows(bool csv, int threads, const TextSink& sink) const;
+  /// Streams every row's CSV (`csv`) or summary line into `sink`.
+  void stream_rows(bool csv, const TextSink& sink) const;
 
   std::shared_ptr<JobList> jobs_;
   std::vector<std::uint8_t> ok_;
@@ -250,9 +249,6 @@ class ResultTable {
   std::array<std::vector<double>, 9> doubles_;
   /// Sorted by row.
   std::vector<Failure> failures_;
-  /// The summary's per-job lines, rendered while the jobs ran
-  /// (BatchOptions::render_summary), one string per claimed chunk.
-  std::vector<std::string> summary_rows_;
 };
 
 /// The collected outcome of one BatchRunner::run().
@@ -297,8 +293,7 @@ struct BatchReport {
   [[nodiscard]] std::string summary() const;
 
   /// Streams summary() into `sink`, so the whole document is never held
-  /// in memory.  The per-job lines are rendered on `threads_used`
-  /// threads, or copied out when the run already rendered them.
+  /// in memory.
   void write_summary(const TextSink& sink) const;
 
   /// Machine-readable CSV (header + one row per scenario).  Doubles are
@@ -306,8 +301,8 @@ struct BatchReport {
   /// bits, so diffs of the deterministic columns compare bits.
   [[nodiscard]] std::string to_csv() const;
 
-  /// Streams to_csv() into `sink`, rendering the rows on `threads_used`
-  /// threads.
+  /// Streams to_csv() into `sink`, so the whole document is never held
+  /// in memory.
   void write_csv(const TextSink& sink) const;
 };
 
@@ -371,9 +366,6 @@ struct BatchOptions {
   /// throws ends the stream and is rethrown by run() once the jobs are
   /// done.
   TextSink csv_sink = nullptr;
-  /// Workers render each job's summary line as they finish their chunk,
-  /// so write_summary()/summary() after the run only copy the lines out.
-  bool render_summary = false;
   /// Collect engine counters (expr.*, sim.*, analytic.*, lower.*) into
   /// BatchReport::metrics.  Each worker counts into its own registry and
   /// the registries are merged after the pool joins, so the hot path

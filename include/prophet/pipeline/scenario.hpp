@@ -75,9 +75,14 @@ class ScenarioGrid {
   /// True when `name` is sweepable via apply().
   [[nodiscard]] static bool is_parameter(std::string_view name);
 
+  /// A sweepable field; defined in the implementation.
+  struct Field;
+
  private:
   machine::SystemParameters base_;
   std::vector<Axis> axes_;
+  /// The field each axis sets, resolved once when the axis is added.
+  std::vector<const Field*> fields_;
 };
 
 }  // namespace prophet::pipeline

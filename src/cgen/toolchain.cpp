@@ -309,6 +309,13 @@ CompileOutcome compile_shared_object(const std::string& source,
       outcome.cache_hit = true;
       return outcome;
     }
+    // A leader that landed since the check above installed the object
+    // before it left the map.
+    if (fs::exists(object_path, ec)) {
+      g_flights.erase(it);
+      outcome.cache_hit = true;
+      return outcome;
+    }
     it->second = flight = std::make_shared<Flight>();
   }
   try {

@@ -1,7 +1,6 @@
 #include "prophet/pipeline/batch.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <charconv>
@@ -126,31 +125,13 @@ class TextWriter {
   }
 
   TextWriter& operator<<(double value) {
-    // Rows repeat values — a chunk's lanes share one host time, zeros
-    // fill the unused columns, the reference prediction is its own
-    // candidate field — so the last few renderings are reused.
-    const auto bits = std::bit_cast<std::uint64_t>(value);
-    Recent* oldest = &recent_[0];
-    for (Recent& recent : recent_) {
-      if (recent.size > 0 && recent.bits == bits) {
-        recent.stamp = ++stamp_;
-        return *this << std::string_view(recent.text, recent.size);
-      }
-      oldest = recent.stamp < oldest->stamp ? &recent : oldest;
-    }
     reserve(kMaxNumberChars);
-    char* begin = cursor();
     const auto result =
         doubles_ == Doubles::kShortest
-            ? std::to_chars(begin, buffer_end(), value)
-            : std::to_chars(begin, buffer_end(), value,
+            ? std::to_chars(cursor(), buffer_end(), value)
+            : std::to_chars(cursor(), buffer_end(), value,
                             std::chars_format::fixed, 6);
-    const auto size = static_cast<std::size_t>(result.ptr - begin);
-    used_ += size;
-    if (size <= sizeof oldest->text) {
-      *oldest = Recent{bits, size, ++stamp_, {}};
-      std::memcpy(oldest->text, begin, size);
-    }
+    used_ = static_cast<std::size_t>(result.ptr - buffer_.data());
     return *this;
   }
 
@@ -199,19 +180,9 @@ class TextWriter {
   char* cursor() { return buffer_.data() + used_; }
   char* buffer_end() { return buffer_.data() + buffer_.size(); }
 
-  // One recently rendered double.
-  struct Recent {
-    std::uint64_t bits = 0;
-    std::size_t size = 0;  // 0: empty
-    std::uint64_t stamp = 0;
-    char text[24];
-  };
-
   Doubles doubles_;
   std::vector<char> buffer_;
   std::size_t used_ = 0;
-  std::array<Recent, 4> recent_{};
-  std::uint64_t stamp_ = 0;
 };
 
 
@@ -642,7 +613,6 @@ void ResultTable::push_back(const ScenarioResult& result) {
   if (!result.error.empty() || !result.tripped_limit.empty()) {
     failures_.push_back(Failure{row, result.error, result.tripped_limit});
   }
-  summary_rows_.clear();
 }
 
 ResultTable& ResultTable::operator=(
@@ -654,34 +624,18 @@ ResultTable& ResultTable::operator=(
   return *this;
 }
 
-void ResultTable::stream_rows(bool csv, int threads,
-                              const TextSink& sink) const {
-  // Blocks of rows render on the pool and reach the sink in order
-  // through one writer.
-  constexpr std::size_t kBlockRows = 4096;
-  const std::size_t blocks = (size() + kBlockRows - 1) / kBlockRows;
-  OrderedWriter writer(sink, blocks);
-  std::atomic<std::size_t> next{0};
-  threads = static_cast<int>(std::min<std::size_t>(
-      std::max(blocks, std::size_t{1}),
-      static_cast<std::size_t>(std::max(threads, 1))));
-  run_pool(threads, [&](int /*worker*/) {
-    TextWriter out(csv ? TextWriter::Doubles::kShortest
-                       : TextWriter::Doubles::kFixed6);
-    ScenarioResult row;
-    for (std::size_t block = next.fetch_add(1); block < blocks;
-         block = next.fetch_add(1)) {
-      out.clear();
-      for (std::size_t r = block * kBlockRows;
-           r < std::min(size(), (block + 1) * kBlockRows); ++r) {
-        read(r, failure_of(r), &row);
-        (csv ? csv_row : summary_row)(out, row);
-      }
-      writer.slot(block).assign(out.text());
-      writer.publish(block);
-    }
-  });
-  writer.finish();
+void ResultTable::stream_rows(bool csv, const TextSink& sink) const {
+  TextWriter out(csv ? TextWriter::Doubles::kShortest
+                     : TextWriter::Doubles::kFixed6);
+  ScenarioResult row;
+  auto failure = failures_.begin();
+  for (std::size_t r = 0; r < size(); ++r) {
+    const bool failed = failure != failures_.end() && failure->row == r;
+    read(r, failed ? &*failure++ : nullptr, &row);
+    (csv ? csv_row : summary_row)(out, row);
+    out.flush_to(sink, kFlushAt);
+  }
+  out.flush_to(sink);
 }
 
 // --- BatchReport -------------------------------------------------------------
@@ -805,13 +759,7 @@ void BatchReport::write_summary(const TextSink& sink) const {
         << m->timer_seconds("batch.prepare_seconds") << " s\n";
   }
   out.flush_to(sink);
-  if (results.summary_rows_.empty()) {
-    results.stream_rows(false, threads_used, sink);
-  }
-  for (const std::string& rows : results.summary_rows_) {
-    out << rows;
-    out.flush_to(sink, kFlushAt);
-  }
+  results.stream_rows(false, sink);
   out << "ok " << m->counter_value("batch.jobs_ok") << " / failed "
       << m->counter_value("batch.jobs_failed");
   if (m->counter_value("batch.jobs_timed_out") > 0) {
@@ -843,7 +791,7 @@ std::string BatchReport::to_csv() const {
 
 void BatchReport::write_csv(const TextSink& sink) const {
   sink(kCsvHeader);
-  results.stream_rows(true, threads_used, sink);
+  results.stream_rows(true, sink);
 }
 
 // --- BatchRunner -------------------------------------------------------------
@@ -1508,15 +1456,11 @@ BatchReport BatchRunner::run() const {
                  false};
   };
 
-  // Output while the jobs run: the CSV through one ordered writer, the
-  // summary lines into one string per chunk.
+  // The CSV streams through one ordered writer while the jobs run.
   std::optional<OrderedWriter> csv;
   if (options_.csv_sink) {
     options_.csv_sink(kCsvHeader);
     csv.emplace(options_.csv_sink, chunk_count);
-  }
-  if (options_.render_summary) {
-    report.results.summary_rows_.resize(chunk_count);
   }
 
   // Neither Registry nor TraceLog is thread-safe: each worker owns one
@@ -1556,7 +1500,6 @@ BatchReport BatchRunner::run() const {
     std::vector<ScenarioResult> lane_results(width);
     std::vector<machine::SystemParameters> params(width);
     TextWriter csv_text(TextWriter::Doubles::kShortest);
-    TextWriter summary_text(TextWriter::Doubles::kFixed6);
     for (std::size_t ticket = next.fetch_add(1); ticket < chunk_count;
          ticket = next.fetch_add(1)) {
       const Chunk chunk = chunk_at(ticket);
@@ -1604,7 +1547,6 @@ BatchReport BatchRunner::run() const {
         }
       }
       csv_text.clear();
-      summary_text.clear();
       for (std::size_t k = 0; k < chunk.size; ++k) {
         const ScenarioResult& row = rows[k];
         report.results.store(chunk.begin + k, row);
@@ -1623,16 +1565,10 @@ BatchReport BatchRunner::run() const {
         if (csv) {
           csv_row(csv_text, row);
         }
-        if (options_.render_summary) {
-          summary_row(summary_text, row);
-        }
       }
       if (csv) {
         csv->slot(ticket).assign(csv_text.text());
         csv->publish(ticket);
-      }
-      if (options_.render_summary) {
-        report.results.summary_rows_[ticket].assign(summary_text.text());
       }
       done.fetch_add(chunk.size, std::memory_order_release);
     }

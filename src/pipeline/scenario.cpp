@@ -40,74 +40,70 @@ double parse_number(std::string_view spec, std::string_view token) {
   return value;
 }
 
-/// Canonical field name behind a sweep parameter, so aliased axes
-/// ("np=..." and "processes=...") are recognized as duplicates.
-std::string_view canonical_parameter(std::string_view name) {
-  if (name == "processes") {
-    return "np";
-  }
-  if (name == "nodes") {
-    return "nn";
-  }
-  if (name == "processors_per_node") {
-    return "ppn";
-  }
-  if (name == "threads" || name == "threads_per_process") {
-    return "nt";
-  }
-  return name;
-}
+}  // namespace
 
-/// Axes bound to integer count fields (process/node/thread counts) get
-/// their values range-checked at parse time, so an overflowing spec
-/// fails as one structured parse error instead of per-job failures.
-bool is_count_parameter(std::string_view name) {
-  const std::string_view canonical = canonical_parameter(name);
-  return canonical == "np" || canonical == "nn" || canonical == "ppn" ||
-         canonical == "nt";
+/// One sweepable SystemParameters field, by all of its names: an integer
+/// count (rounded, range-checked) or a real.
+struct ScenarioGrid::Field {
+  std::string_view names[3];
+  int machine::SystemParameters::*count;
+  double machine::SystemParameters::*real;
+
+  void set(machine::SystemParameters& params, std::string_view name,
+           double value) const {
+    if (count != nullptr) {
+      params.*count = to_count(name, value);
+    } else {
+      params.*real = value;
+    }
+  }
+};
+
+namespace {
+
+using SP = machine::SystemParameters;
+constexpr ScenarioGrid::Field kFields[] = {
+    {{"np", "processes"}, &SP::processes, nullptr},
+    {{"nn", "nodes"}, &SP::nodes, nullptr},
+    {{"ppn", "processors_per_node"}, &SP::processors_per_node, nullptr},
+    {{"nt", "threads", "threads_per_process"}, &SP::threads_per_process,
+     nullptr},
+    {{"cpu_speed"}, nullptr, &SP::cpu_speed},
+    {{"network_latency"}, nullptr, &SP::network_latency},
+    {{"network_bandwidth"}, nullptr, &SP::network_bandwidth},
+    {{"network_overhead"}, nullptr, &SP::network_overhead},
+    {{"memory_latency"}, nullptr, &SP::memory_latency},
+    {{"memory_bandwidth"}, nullptr, &SP::memory_bandwidth},
+    {{"barrier_latency"}, nullptr, &SP::barrier_latency},
+};
+
+/// The field `name` sets (aliases such as "np" and "processes" share
+/// one), or null.
+const ScenarioGrid::Field* field_of(std::string_view name) {
+  for (const auto& field : kFields) {
+    for (const std::string_view alias : field.names) {
+      if (!alias.empty() && alias == name) {
+        return &field;
+      }
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 void ScenarioGrid::apply(machine::SystemParameters& params,
                          std::string_view name, double value) {
-  if (name == "np" || name == "processes") {
-    params.processes = to_count(name, value);
-  } else if (name == "nn" || name == "nodes") {
-    params.nodes = to_count(name, value);
-  } else if (name == "ppn" || name == "processors_per_node") {
-    params.processors_per_node = to_count(name, value);
-  } else if (name == "nt" || name == "threads" ||
-             name == "threads_per_process") {
-    params.threads_per_process = to_count(name, value);
-  } else if (name == "cpu_speed") {
-    params.cpu_speed = value;
-  } else if (name == "network_latency") {
-    params.network_latency = value;
-  } else if (name == "network_bandwidth") {
-    params.network_bandwidth = value;
-  } else if (name == "network_overhead") {
-    params.network_overhead = value;
-  } else if (name == "memory_latency") {
-    params.memory_latency = value;
-  } else if (name == "memory_bandwidth") {
-    params.memory_bandwidth = value;
-  } else if (name == "barrier_latency") {
-    params.barrier_latency = value;
-  } else {
+  const Field* field = field_of(name);
+  if (field == nullptr) {
     throw std::invalid_argument("unknown sweep parameter '" +
                                 std::string(name) + "'");
   }
+  field->set(params, name, value);
 }
 
 bool ScenarioGrid::is_parameter(std::string_view name) {
-  machine::SystemParameters probe;
-  try {
-    apply(probe, name, 1.0);
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  return true;
+  return field_of(name) != nullptr;
 }
 
 ScenarioGrid& ScenarioGrid::axis(std::string name,
@@ -115,17 +111,19 @@ ScenarioGrid& ScenarioGrid::axis(std::string name,
   if (values.empty()) {
     throw std::invalid_argument("axis '" + name + "' has no values");
   }
-  if (!is_parameter(name)) {
+  const Field* field = field_of(name);
+  if (field == nullptr) {
     throw std::invalid_argument("unknown sweep parameter '" + name + "'");
   }
   for (const auto& existing : axes_) {
-    if (canonical_parameter(existing.name) == canonical_parameter(name)) {
+    if (field_of(existing.name) == field) {
       throw std::invalid_argument("duplicate sweep axis '" + name +
                                   "' (already swept as '" + existing.name +
                                   "')");
     }
   }
   axes_.push_back(Axis{std::move(name), std::move(values)});
+  fields_.push_back(field);
   return *this;
 }
 
@@ -221,7 +219,11 @@ ScenarioGrid ScenarioGrid::parse(std::string_view spec,
         item = comma + 1;
       }
     }
-    if (is_count_parameter(name)) {
+    // Count fields (process/node/thread counts) get their values
+    // range-checked here, so an overflowing spec fails as one structured
+    // parse error instead of per-job failures.
+    if (const Field* field = field_of(name);
+        field != nullptr && field->count != nullptr) {
       for (const double v : values) {
         const double rounded = std::floor(v + 0.5);
         if (!(rounded >= 1) || rounded > 2147483647.0) {
@@ -259,7 +261,7 @@ machine::SystemParameters ScenarioGrid::at(std::size_t ordinal) const {
   machine::SystemParameters params = base_;
   for (std::size_t a = axes_.size(); a-- > 0;) {
     const std::vector<double>& values = axes_[a].values;
-    apply(params, axes_[a].name, values[ordinal % values.size()]);
+    fields_[a]->set(params, axes_[a].name, values[ordinal % values.size()]);
     ordinal /= values.size();
   }
   return params;

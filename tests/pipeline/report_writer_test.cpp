@@ -326,7 +326,6 @@ TEST(StreamedCsv, MatchesToCsvAtAnyThreadCountAndLaneWidth) {
       options.threads = threads;
       options.batch_lanes = lanes;
       options.backend = BackendKind::Analytic;
-      options.render_summary = true;
       const StreamedRun run = streamed_run(options, models, grid);
       EXPECT_EQ(run.streamed, run.report.to_csv())
           << threads << " threads, " << lanes << " lanes";
@@ -336,7 +335,8 @@ TEST(StreamedCsv, MatchesToCsvAtAnyThreadCountAndLaneWidth) {
       }
       EXPECT_EQ(stable_columns(run.streamed), reference)
           << threads << " threads, " << lanes << " lanes";
-      // Summary lines rendered during the run read like rendered after.
+      // Rows derived from the stored grid read like rows listed one by
+      // one.
       BatchReport rendered = run.report;
       rendered.results = {};
       for (const ScenarioResult& result : run.report.results) {
@@ -350,7 +350,6 @@ TEST(StreamedCsv, MatchesToCsvAtAnyThreadCountAndLaneWidth) {
 TEST(StreamedCsv, EmptyBatchStreamsTheHeaderOnly) {
   BatchOptions options;
   options.threads = 4;
-  options.render_summary = true;
   const StreamedRun run = streamed_run(options, {}, "np=1..4");
   EXPECT_EQ(run.streamed, run.report.to_csv());
   EXPECT_EQ(parse_csv(run.streamed).size(), 1u);
@@ -441,8 +440,8 @@ TEST(StreamedCsv, UntracedSweepBuildsNoSpanNames) {
 }
 
 TEST(StreamedCsv, ThrowingSinkReachesTheCaller) {
-  // The rows render on worker threads and a writer thread calls the
-  // sink; what the sink throws still reaches the caller.
+  // What the sink throws reaches the caller, also when the sink is
+  // called from the run's writer thread.
   const auto throwing = [](std::string_view) {
     throw std::runtime_error("sink full");
   };

@@ -878,11 +878,9 @@ int cmd_sweep(const std::vector<std::string>& args) {
         };
   }
 
-  // The summary lines render as the jobs finish, and the CSV streams to
-  // its file while later jobs still run.  The file is opened below,
-  // before any job runs, so an unwritable path fails at once instead of
-  // after the whole sweep.
-  options.render_summary = true;
+  // The CSV streams to its file while later jobs still run.  The file is
+  // opened below, before any job runs, so an unwritable path fails at
+  // once instead of after the whole sweep.
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> csv(nullptr, &std::fclose);
   if (!csv_path.empty()) {
     options.csv_sink = [&csv](std::string_view chunk) {
