@@ -133,19 +133,21 @@ class AnalyticEstimator {
   /// bit-identical to what the scalar evaluate(params[i], counters,
   /// budget) loop would produce.
   ///
-  /// When the model's walk is parameter-structure-independent (the SPMD
-  /// fast path: uniform control flow across lanes, no pid/tid reads, no
-  /// fragments, no fork/parallel-region/probabilistic constructs), one
-  /// *batched* walk serves every lane — cost expressions evaluate
-  /// through the vectorized expr VM (Compiled::eval_batch) with one
-  /// value per lane — and only the cheap replay/bound assembly runs per
-  /// lane.  Anything else (lane-divergent guards or trip counts,
-  /// unsupported constructs, any evaluation error) falls back to the
-  /// scalar loop, adding the abandoned lane count to `*lanes_fallback`
-  /// when non-null.  Errors then propagate from the scalar path with
-  /// their exact per-lane messages.  Counter totals may differ between
-  /// the batched and scalar paths (batched dispatch counts instructions
-  /// once per lane group); predictions never do.
+  /// The lanes share one walk of the model — the same walker evaluate()
+  /// runs, at the block's width: cost expressions evaluate through the
+  /// vectorized expr VM (Compiled::eval_batch) with one value per lane,
+  /// and only the cheap replay/bound assembly runs per lane.  Every
+  /// construct evaluate() supports batches, rank-dependent walks (pid/tid
+  /// reads, code fragments) included, also when the lanes' process
+  /// counts differ.  Only data divergence falls back: lanes that disagree
+  /// on a guard's truthiness, a message peer, a trip-count mix the loop
+  /// collapse cannot absorb, or a parallel region's thread count, and any
+  /// evaluation error.  Every lane then re-runs alone through evaluate(),
+  /// adding the lane count to `*lanes_fallback` when non-null, so errors
+  /// propagate with their exact per-lane messages (a tripped budget
+  /// propagates at once).  Counter totals may differ between the batched
+  /// and scalar paths (batched dispatch counts instructions once per lane
+  /// group); predictions never do.
   [[nodiscard]] std::vector<AnalyticReport> evaluate_batch(
       std::span<const machine::SystemParameters> params,
       obs::AnalyticCounters* counters = nullptr,

@@ -1,15 +1,12 @@
 // Statistics accumulators used by the simulation engine and the
 // Performance Estimator: plain accumulators for sampled values
-// (service/waiting times), time-weighted accumulators for level processes
-// (queue lengths, busy servers), and fixed-bin histograms for the
-// performance-visualization output.
+// (service/waiting times) and time-weighted accumulators for level
+// processes (queue lengths, busy servers).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <string>
-#include <vector>
 
 #include "prophet/sim/engine.hpp"
 
@@ -88,40 +85,6 @@ class TimeWeighted {
   double max_ = 0;
   Time last_change_ = 0;
   Time start_ = 0;
-};
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into
-/// the edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {}
-
-  void record(double value) {
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto index = static_cast<long>((value - lo_) / width);
-    index = std::clamp<long>(index, 0, static_cast<long>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(index)];
-    ++total_;
-  }
-
-  [[nodiscard]] const std::vector<std::size_t>& counts() const {
-    return counts_;
-  }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const {
-    return lo_ + static_cast<double>(i) * (hi_ - lo_) /
-                     static_cast<double>(counts_.size());
-  }
-
-  /// Simple ASCII rendering (one row per bin) for report output.
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace prophet::sim

@@ -1,11 +1,14 @@
 #include "prophet/analytic/analytic.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "prophet/expr/compile.hpp"
@@ -122,14 +125,20 @@ struct AnalyticEstimator::Impl {
   /// can consume the same program concurrently.
   lower::ModelProgramPtr program;
 
-  /// Mutable state of one evaluate() call (evaluate is const + reentrant;
-  /// everything per-run lives here, including the run-level slot frame).
+  /// Mutable state of one evaluation over one or more scenario lanes
+  /// (evaluate is const + reentrant; everything per-run lives here).
+  /// `run` holds the run-level bindings — structural parameters and
+  /// globals — slot-major, one lane array per slot: with one lane it is
+  /// the scalar frame, with several it is what expr::BatchEvalContext
+  /// expects, and lane l's scalar view is every bound pointer offset by l.
   struct EvalState {
-    machine::SystemParameters params;
-    std::vector<double> global_values;  // slot-indexed, shared by walks
-    std::vector<double*> run_frame;     // globals + structural template
-    double np = 1, nt = 1, nn = 1, ppn = 1;
-    std::uint64_t elements = 0;  // model elements walked
+    EvalState(std::span<const machine::SystemParameters* const> lanes_in,
+              std::size_t slot_count)
+        : lanes(lanes_in), run(slot_count, lanes_in.size()) {}
+
+    std::span<const machine::SystemParameters* const> lanes;  // walk order
+    expr::SlotBlock run;
+    std::uint64_t elements = 0;  // model elements walked, summed over walks
     std::uint64_t fragments_executed = 0;
     bool pid_queried = false;  // pid/tid reachable by an evaluated program
     int call_depth = 0;
@@ -137,65 +146,25 @@ struct AnalyticEstimator::Impl {
     guard::Budget* budget = nullptr;            // null: unguarded
   };
 
-  /// expr::UserFunctions adapter: cost-function bodies evaluate against
-  /// the run frame (globals + structural parameters) and the call's
-  /// argument span, with the tree walker's recursion guard.
-  struct FunctionCaller final : expr::UserFunctions {
+  /// Cost-function dispatch for both lane policies: bodies evaluate
+  /// against the run frame (globals + structural parameters) and the
+  /// call's arguments, with the tree walker's recursion guard — for one
+  /// lane (call), across a block (call_batch), or for one lane of a
+  /// block when the vectorized VM falls back lane by lane (call_lane).
+  struct FunctionCaller final : expr::UserFunctions, expr::BatchUserFunctions {
     const Impl* impl = nullptr;
     EvalState* st = nullptr;
+
     [[nodiscard]] double call(int id,
                               std::span<const double> args) const override {
-      if (st->call_depth > 64) {
-        throw AnalyticError("cost-function call depth exceeded (cycle?)");
-      }
-      ++st->call_depth;
-      expr::EvalContext ctx;
-      ctx.frame = st->run_frame;
-      ctx.args = args;
-      ctx.functions = this;
-      ctx.counters = st->counters != nullptr ? &st->counters->expr : nullptr;
-      ctx.budget = st->budget;
-      const double result =
-          impl->program->functions()[static_cast<std::size_t>(id)].eval(ctx);
-      --st->call_depth;
-      return result;
+      return call_in(st->run.frame(), this, id, args);
     }
-  };
-
-  /// Mutable state of one evaluate_batch() call: the lane-structured
-  /// analogue of EvalState.  Slot storage is slot-major (one lane array
-  /// of `width` doubles per slot), so the run frame is exactly what
-  /// expr::BatchEvalContext expects — and lane l's scalar view is every
-  /// bound pointer offset by l.
-  struct BatchState {
-    std::span<const machine::SystemParameters> lanes;
-    std::size_t width = 0;
-    // Structural parameters as lane arrays (np/nt/nn/ppn per scenario).
-    std::vector<double> np_lanes, nt_lanes, nn_lanes, ppn_lanes;
-    std::vector<double> global_values;  // [slot * width + lane]
-    std::vector<double*> run_frame;     // slot -> lane array
-    std::uint64_t elements = 0;  // model elements walked (lane-uniform)
-    int call_depth = 0;
-    obs::AnalyticCounters* counters = nullptr;
-    guard::Budget* budget = nullptr;
-  };
-
-  /// expr::BatchUserFunctions adapter: cost-function bodies evaluate
-  /// against the batch run frame, batched when the vectorized VM can
-  /// (call_batch) and against a single lane's scalar view when it falls
-  /// back (call_lane).  Same recursion guard as FunctionCaller.
-  struct BatchFunctionCaller final : expr::BatchUserFunctions {
-    const Impl* impl = nullptr;
-    BatchState* st = nullptr;
 
     void call_batch(int id, std::span<const double* const> args, double* out,
                     std::size_t width) const override {
-      if (st->call_depth > 64) {
-        throw AnalyticError("cost-function call depth exceeded (cycle?)");
-      }
-      ++st->call_depth;
+      const Depth depth(st);
       expr::BatchEvalContext ctx;
-      ctx.frame = st->run_frame;
+      ctx.frame = st->run.frame();
       ctx.width = width;
       ctx.args = args;
       ctx.functions = this;
@@ -203,28 +172,21 @@ struct AnalyticEstimator::Impl {
       ctx.budget = st->budget;
       impl->program->functions()[static_cast<std::size_t>(id)].eval_batch(
           ctx, out);
-      --st->call_depth;
     }
 
     [[nodiscard]] double call_lane(int id, std::span<const double> args,
                                    std::size_t lane) const override {
-      if (st->call_depth > 64) {
-        throw AnalyticError("cost-function call depth exceeded (cycle?)");
-      }
-      ++st->call_depth;
-      // Lane view of the batch run frame: every bound slot offset by
-      // `lane`, so the scalar VM sees exactly that lane's bindings.
-      std::vector<double*> frame(st->run_frame.size());
+      // Lane view of the run frame: every bound slot offset by `lane`, so
+      // the scalar VM sees exactly that lane's bindings.
+      const auto run = st->run.frame();
+      std::vector<double*> frame(run.size());
       for (std::size_t slot = 0; slot < frame.size(); ++slot) {
-        frame[slot] = st->run_frame[slot] != nullptr
-                          ? st->run_frame[slot] + lane
-                          : nullptr;
+        frame[slot] = run[slot] != nullptr ? run[slot] + lane : nullptr;
       }
       struct LaneFunctions final : expr::UserFunctions {
-        const BatchFunctionCaller* parent;
+        const FunctionCaller* parent;
         std::size_t lane;
-        LaneFunctions(const BatchFunctionCaller* parent_in,
-                      std::size_t lane_in)
+        LaneFunctions(const FunctionCaller* parent_in, std::size_t lane_in)
             : parent(parent_in), lane(lane_in) {}
         [[nodiscard]] double call(
             int inner_id, std::span<const double> inner_args) const override {
@@ -232,16 +194,36 @@ struct AnalyticEstimator::Impl {
         }
       };
       const LaneFunctions lane_functions(this, lane);
+      return call_in(frame, &lane_functions, id, args);
+    }
+
+   private:
+    /// Holds one level of the cost-function recursion guard.
+    struct Depth {
+      explicit Depth(EvalState* st_in) : st(st_in) {
+        if (st->call_depth > 64) {
+          throw AnalyticError("cost-function call depth exceeded (cycle?)");
+        }
+        ++st->call_depth;
+      }
+      ~Depth() { --st->call_depth; }
+      Depth(const Depth&) = delete;
+      Depth& operator=(const Depth&) = delete;
+      EvalState* st;
+    };
+
+    [[nodiscard]] double call_in(std::span<double* const> frame,
+                                 const expr::UserFunctions* functions, int id,
+                                 std::span<const double> args) const {
+      const Depth depth(st);
       expr::EvalContext ctx;
       ctx.frame = frame;
       ctx.args = args;
-      ctx.functions = &lane_functions;
+      ctx.functions = functions;
       ctx.counters = st->counters != nullptr ? &st->counters->expr : nullptr;
       ctx.budget = st->budget;
-      const double result =
-          impl->program->functions()[static_cast<std::size_t>(id)].eval(ctx);
-      --st->call_depth;
-      return result;
+      return impl->program->functions()[static_cast<std::size_t>(id)].eval(
+          ctx);
     }
   };
 
@@ -256,14 +238,6 @@ struct AnalyticEstimator::Impl {
       std::span<const machine::SystemParameters> lanes,
       obs::AnalyticCounters* counters, guard::Budget* budget,
       std::size_t* lanes_fallback) const;
-
-  /// The all-lanes-at-once attempt: one batched SPMD walk, per-lane
-  /// replay/bounds.  Throws BatchDivergence (or any evaluation error)
-  /// when the batch cannot proceed; evaluate_batch catches and falls
-  /// back to the scalar loop.
-  std::vector<AnalyticReport> evaluate_batch_fast(
-      std::span<const machine::SystemParameters> lanes,
-      obs::AnalyticCounters* counters, guard::Budget* budget) const;
 };
 
 
@@ -273,29 +247,78 @@ namespace {
 // Symbolic walk
 // ---------------------------------------------------------------------------
 
-/// Walks one process's control flow, emitting Events.  Sub-walkers (fork
-/// branches, parallel-region threads, critical bodies, expectation
-/// branches) share the lexical state — slot frame, locals storage, loop
-/// bindings — but write to their own WalkResult so the parent can
-/// aggregate elapsed/demand.  The walk is strictly sequential, so the
-/// shared frame needs no snapshotting (unlike the coroutine
+/// Lane policies for Walker.  OneLane walks one scenario on plain doubles
+/// through Compiled::eval; LaneBlock walks a chunk of scenarios in
+/// lockstep, every transient a lane array, through Compiled::eval_batch
+/// (whose width-one dispatch is slower than eval, so one scenario never
+/// takes it).  Vec<T> is a per-lane temporary, held inline for one lane
+/// and for blocks up to the pipeline's default chunk of eight, so those
+/// walks allocate nothing per node.
+struct OneLane {
+  static constexpr bool kBatched = false;
+  template <class T>
+  struct Vec {
+    explicit Vec(std::size_t /*width*/) {}
+    T& operator[](std::size_t /*lane*/) { return value; }
+    T* data() { return &value; }
+    T value{};
+  };
+};
+
+struct LaneBlock {
+  static constexpr bool kBatched = true;
+  template <class T>
+  class Vec {
+   public:
+    explicit Vec(std::size_t width) : heap_(width > kInline ? width : 0) {}
+    T& operator[](std::size_t lane) { return data()[lane]; }
+    T* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+
+   private:
+    static constexpr std::size_t kInline = 8;
+    std::array<T, kInline> inline_{};
+    std::vector<T> heap_;
+  };
+};
+
+/// Internal control-flow signal of a lane block: the lanes' data would
+/// take them down different paths (a guard's truthiness, a message peer,
+/// a trip-count mix the loop collapse cannot absorb, a region's thread
+/// count).  evaluate_batch catches it, like any evaluation error, and
+/// re-runs every lane through the one-lane walker, which is exact —
+/// errors included.  Never escapes the analytic layer.
+struct LaneDivergence {};
+
+/// Walks one process's control flow, emitting Events, for every active
+/// lane at once.  The lanes share one control path, so their event
+/// sequences stay structurally identical (event i has the same kind in
+/// every lane) and one coalescing decision covers all of them.
+/// Sub-walkers (fork branches, parallel-region threads, critical bodies,
+/// expectation branches, loop trips) share the lexical state — slot
+/// frame, loop bindings — but write to their own WalkResults so the
+/// parent can aggregate elapsed/demand.  The walk is strictly sequential,
+/// so the shared frame needs no snapshotting (unlike the coroutine
 /// interpreter's per-scope copies).
+template <class Lanes>
 struct Walker {
   using Impl = AnalyticEstimator::Impl;
   using EvalState = Impl::EvalState;
   using NodePrograms = Impl::NodePrograms;
   using DiagramProgram = lower::DiagramProgram;
+  template <class T>
+  using Vec = typename Lanes::template Vec<T>;
 
-  Walker(const Impl& impl_in, EvalState& st_in, WalkResult& out_in)
-      : impl(impl_in), st(st_in), out(out_in) {}
+  Walker(const Impl& impl_in, EvalState& st_in, WalkResult* out_in,
+         std::size_t lanes_in)
+      : impl(impl_in), st(st_in), out(out_in), lanes(lanes_in) {}
 
   const Impl& impl;
   EvalState& st;
-  WalkResult& out;
+  WalkResult* out;    // one per active lane
+  std::size_t lanes;  // active lanes: a prefix of st.lanes
   int pid = 0;
   int tid = 0;
-  std::vector<double*>* frame = nullptr;   // shared per-process slot frame
-  double* locals = nullptr;                // slot-indexed local storage
+  expr::SlotBlock* frame = nullptr;  // per-process bindings and locals
   std::vector<LoopBinding>* bindings = nullptr;
   const Impl::FunctionCaller* functions = nullptr;
   int region_threads = 0;  // > 0 inside an <<ompparallel>> region
@@ -304,21 +327,25 @@ struct Walker {
   std::uint64_t* steps = nullptr;
   std::uint64_t step_limit = 0;
 
+  [[nodiscard]] std::size_t width() const {
+    if constexpr (Lanes::kBatched) {
+      return lanes;
+    } else {
+      return 1;
+    }
+  }
+
+  [[nodiscard]] const machine::SystemParameters& params(
+      std::size_t lane) const {
+    return *st.lanes[lane];
+  }
+
   /// A sub-walker for nested concurrent constructs: shares the lexical
-  /// state, writes to its own result, and may not communicate.
-  [[nodiscard]] Walker sub(WalkResult& sub_out) const {
-    Walker walker(impl, st, sub_out);
-    walker.pid = pid;
-    walker.tid = tid;
-    walker.frame = frame;
-    walker.locals = locals;
-    walker.bindings = bindings;
-    walker.functions = functions;
-    walker.region_threads = region_threads;
+  /// state, writes to its own results, and may not communicate.
+  [[nodiscard]] Walker sub(WalkResult* sub_out) const {
+    Walker walker = *this;
+    walker.out = sub_out;
     walker.allow_comm = false;
-    walker.allow_fragments = allow_fragments;
-    walker.steps = steps;
-    walker.step_limit = step_limit;
     return walker;
   }
 
@@ -342,37 +369,58 @@ struct Walker {
     }
   }
 
-  [[nodiscard]] double eval_program(const expr::Compiled& program,
-                                    int uid) const {
+  /// Evaluates `program` for every active lane into `values`.
+  void eval_program(const expr::Compiled& program, int uid,
+                    double* values) const {
     if (program.may_read_pid_tid()) {
       st.pid_queried = true;
     }
     mark_loop_reads(program);
-    expr::EvalContext ctx;
-    ctx.frame = *frame;
+    std::conditional_t<Lanes::kBatched, expr::BatchEvalContext,
+                       expr::EvalContext>
+        ctx;
+    ctx.frame = frame->frame();
     ctx.functions = functions;
     ctx.pid = static_cast<double>(pid);
     ctx.tid = static_cast<double>(tid);
     ctx.uid = static_cast<double>(uid);
     ctx.counters = st.counters != nullptr ? &st.counters->expr : nullptr;
     ctx.budget = st.budget;
-    return program.eval(ctx);
+    if constexpr (Lanes::kBatched) {
+      ctx.width = width();
+      program.eval_batch(ctx, values);
+    } else {
+      *values = program.eval(ctx);
+    }
   }
 
   /// Evaluates an optional tag program; absent tags are 0.0, evaluation
   /// errors carry the node/tag context (tree-walker message format).
-  [[nodiscard]] double eval_tag(const std::optional<expr::Compiled>& tag,
-                                std::string_view tag_name, const Node& node,
-                                int uid) const {
+  void eval_tag(const std::optional<expr::Compiled>& tag,
+                std::string_view tag_name, const Node& node, int uid,
+                double* values) const {
     if (!tag.has_value()) {
-      return 0.0;
+      std::fill_n(values, width(), 0.0);
+      return;
     }
     try {
-      return eval_program(*tag, uid);
+      eval_program(*tag, uid, values);
     } catch (const expr::EvalError& error) {
       throw AnalyticError("node " + node.id() + ", tag '" +
                           std::string(tag_name) + "': " + error.what());
     }
+  }
+
+  /// The lanes' common integer value (message peers and thread counts
+  /// shape the event structure, so the lanes must agree on them).
+  [[nodiscard]] int uniform_int(const double* values) const {
+    const int value = static_cast<int>(values[0]);
+    for (std::size_t lane = 1; lane < width(); ++lane) {
+      if (static_cast<int>(values[lane]) != value) {
+        throw LaneDivergence{};
+      }
+    }
+    return value;
   }
 
   void run_fragment(const NodePrograms& programs, const Node& node) {
@@ -385,57 +433,66 @@ struct Walker {
                           "probability-weighted branches");
     }
     ++st.fragments_executed;
+    Vec<double> value(width());
     for (const auto& assignment : programs.fragment) {
-      double value = 0;
       try {
-        value = eval_program(assignment.value, programs.uid);
+        eval_program(assignment.value, programs.uid, value.data());
       } catch (const expr::EvalError& error) {
         throw AnalyticError("code fragment at node " + node.id() + ": " +
                             error.what());
       }
-      if (assignment.coerce_int) {
-        value = std::trunc(value);
-      }
       using Target = Impl::CompiledAssignment::Target;
+      double* storage = nullptr;
       switch (assignment.target) {
         case Target::Local:
-          if (locals != nullptr) {
-            locals[assignment.slot] = value;
-            continue;
-          }
+          storage = frame->lanes(assignment.slot);
           break;
         case Target::Global:
-          st.global_values[assignment.slot] = value;
-          continue;
-        case Target::Undeclared:
+          storage = st.run.lanes(assignment.slot);
           break;
+        case Target::Undeclared:
+          throw AnalyticError("code fragment at node " + node.id() +
+                              " assigns undeclared variable '" +
+                              assignment.name + "'");
       }
-      throw AnalyticError("code fragment at node " + node.id() +
-                          " assigns undeclared variable '" +
-                          assignment.name + "'");
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        storage[lane] =
+            assignment.coerce_int ? std::trunc(value[lane]) : value[lane];
+      }
     }
   }
 
   // --- Event emission -----------------------------------------------------
 
-  void emit_compute(double elapsed, double demand) {
-    if (std::isnan(elapsed) || elapsed < 0) {
-      throw AnalyticError("negative or NaN compute cost");
+  void emit_compute(const double* elapsed, const double* demand) {
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      if (std::isnan(elapsed[lane]) || elapsed[lane] < 0) {
+        throw AnalyticError("negative or NaN compute cost");
+      }
     }
-    if (!out.events.empty() && out.events.back().kind == EvKind::Compute) {
-      out.events.back().elapsed += elapsed;
-      out.events.back().demand += demand;
+    if (!out[0].events.empty() && out[0].events.back().kind == EvKind::Compute) {
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        out[lane].events.back().elapsed += elapsed[lane];
+        out[lane].events.back().demand += demand[lane];
+      }
       return;
     }
-    out.events.push_back({EvKind::Compute, elapsed, demand, 0, 0, 0});
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      out[lane].events.push_back(
+          {EvKind::Compute, elapsed[lane], demand[lane], 0, 0, 0});
+    }
   }
 
-  void emit_busy(double elapsed) {
-    if (!out.events.empty() && out.events.back().kind == EvKind::Busy) {
-      out.events.back().elapsed += elapsed;
+  void emit_busy(const double* elapsed) {
+    if (!out[0].events.empty() && out[0].events.back().kind == EvKind::Busy) {
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        out[lane].events.back().elapsed += elapsed[lane];
+      }
       return;
     }
-    out.events.push_back({EvKind::Busy, elapsed, 0, 0, 0, 0});
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      out[lane].events.push_back({EvKind::Busy, elapsed[lane], 0, 0, 0, 0});
+    }
   }
 
   void require_comm(const Node& node) const {
@@ -525,6 +582,7 @@ struct Walker {
     if (node.kind == NodeKind::Decision) {
       const lower::ControlEdge* chosen = nullptr;
       const lower::ControlEdge* fallback = nullptr;
+      Vec<double> value(width());
       for (const auto& edge : outgoing) {
         if (edge.is_else) {
           if (fallback == nullptr) {
@@ -535,14 +593,19 @@ struct Walker {
         if (edge.guard == nullptr) {
           continue;  // unguarded edge out of a decision: never taken
         }
-        double value = 0;
         try {
-          value = eval_program(*edge.guard, node.uid);
+          eval_program(*edge.guard, node.uid, value.data());
         } catch (const expr::EvalError& error) {
           throw AnalyticError("guard of edge " + edge.flow->id() + ": " +
                               error.what());
         }
-        if (expr::truthy(value)) {
+        const bool taken = expr::truthy(value[0]);
+        for (std::size_t lane = 1; lane < width(); ++lane) {
+          if (expr::truthy(value[lane]) != taken) {
+            throw LaneDivergence{};
+          }
+        }
+        if (taken) {
           chosen = &edge;
           break;
         }
@@ -594,19 +657,17 @@ struct Walker {
     const std::string& id = fork.node->id();
     const auto outgoing = fork.edges;
     std::vector<const NodePrograms*> joins(outgoing.size(), nullptr);
-    double max_elapsed = 0;
-    double total_demand = 0;
+    Vec<double> max_elapsed(width());
+    Vec<double> total_demand(width());
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
       const NodePrograms* target = outgoing[i].to;
       if (target == nullptr) {
         throw AnalyticError("fork " + id + ": dangling edge");
       }
-      WalkResult branch;
-      Walker walker = sub(branch);
+      Vec<WalkResult> branch(width());
+      Walker walker = sub(branch.data());
       walker.walk(diagram, *target, NodeKind::Join, &joins[i]);
-      max_elapsed = std::max(max_elapsed, sum_elapsed(branch.events));
-      total_demand += sum_demand(branch.events);
-      merge_criticals(branch, 1.0);
+      join_concurrent(branch.data(), max_elapsed.data(), total_demand.data());
     }
     // Joins compare by id, so the diagnostics read exactly as before.
     for (std::size_t i = 1; i < joins.size(); ++i) {
@@ -620,7 +681,7 @@ struct Walker {
     if (joins.empty() || id_of(joins[0]).empty()) {
       throw AnalyticError("fork " + id + ": branches do not reach a join");
     }
-    emit_compute(max_elapsed, total_demand);
+    emit_compute(max_elapsed.data(), total_demand.data());
     return joins[0];
   }
 
@@ -676,8 +737,8 @@ struct Walker {
     }
 
     const NodePrograms* merge = nullptr;
-    double expected_elapsed = 0;
-    double expected_demand = 0;
+    Vec<double> expected_elapsed(width());
+    Vec<double> expected_demand(width());
     for (std::size_t i = 0; i < outgoing.size(); ++i) {
       const NodePrograms* target = outgoing[i].to;
       if (target == nullptr) {
@@ -685,8 +746,8 @@ struct Walker {
       }
       const double weight = weights[i] / norm;
       const NodePrograms* branch_merge = nullptr;
-      WalkResult branch;
-      Walker walker = sub(branch);
+      Vec<WalkResult> branch(width());
+      Walker walker = sub(branch.data());
       walker.allow_fragments = false;
       walker.walk(diagram, *target, NodeKind::Merge, &branch_merge);
       if (id_of(branch_merge).empty()) {
@@ -702,11 +763,13 @@ struct Walker {
                             id_of(merge) + "' vs '" + id_of(branch_merge) +
                             "')");
       }
-      expected_elapsed += weight * sum_elapsed(branch.events);
-      expected_demand += weight * sum_demand(branch.events);
-      merge_criticals(branch, weight);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        expected_elapsed[lane] += weight * sum_elapsed(branch[lane].events);
+        expected_demand[lane] += weight * sum_demand(branch[lane].events);
+        merge_criticals(lane, branch[lane], weight);
+      }
     }
-    emit_compute(expected_elapsed, expected_demand);
+    emit_compute(expected_elapsed.data(), expected_demand.data());
     ++st.elements;  // the consumed merge
     return next_node(*merge);
   }
@@ -716,57 +779,76 @@ struct Walker {
     run_fragment(programs, node);
     const int uid = programs.uid;
     const std::string& stereotype = node.stereotype();
-    const auto& params = st.params;
+    const std::size_t w = width();
+    Vec<double> value(w);
     if (stereotype == uml::stereo::kActionPlus || stereotype.empty()) {
-      double cost = 0;
       if (programs.cost().has_value()) {
-        cost = eval_tag(programs.cost(), uml::tag::kCost, node, uid);
+        eval_tag(programs.cost(), uml::tag::kCost, node, uid, value.data());
       } else if (programs.time.has_value()) {
-        cost = *programs.time;
+        std::fill_n(value.data(), w, *programs.time);
       }
-      const double seconds = machine::compute_time(params, cost);
-      emit_compute(seconds, seconds);
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        value[lane] = machine::compute_time(params(lane), value[lane]);
+      }
+      emit_compute(value.data(), value.data());
     } else if (stereotype == uml::stereo::kSend) {
       require_comm(node);
-      const int dest = static_cast<int>(
-          eval_tag(programs.dest(), uml::tag::kDest, node, uid));
-      const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
-                                    uid);
+      eval_tag(programs.dest(), uml::tag::kDest, node, uid, value.data());
+      const int dest = uniform_int(value.data());
+      eval_tag(programs.size(), uml::tag::kSize, node, uid, value.data());
       const int tag = static_cast<int>(programs.msg_tag);
-      emit_busy(params.network_overhead);
-      out.events.push_back({EvKind::Send, 0, 0, bytes, dest, tag});
+      Vec<double> overhead(w);
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        overhead[lane] = params(lane).network_overhead;
+      }
+      emit_busy(overhead.data());
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        out[lane].events.push_back(
+            {EvKind::Send, 0, 0, value[lane], dest, tag});
+      }
     } else if (stereotype == uml::stereo::kRecv) {
       require_comm(node);
-      const int source = static_cast<int>(
-          eval_tag(programs.source(), uml::tag::kSource, node, uid));
+      eval_tag(programs.source(), uml::tag::kSource, node, uid, value.data());
+      const int source = uniform_int(value.data());
       const int tag = static_cast<int>(programs.msg_tag);
-      out.events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        out[lane].events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
+      }
     } else if (stereotype == uml::stereo::kBarrier) {
       require_comm(node);
-      out.events.push_back(
-          {EvKind::Barrier, machine::barrier_time(params), 0, 0, 0, 0});
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        out[lane].events.push_back(
+            {EvKind::Barrier, machine::barrier_time(params(lane)), 0, 0, 0,
+             0});
+      }
     } else if (stereotype == uml::stereo::kBroadcast ||
                stereotype == uml::stereo::kReduce ||
                stereotype == uml::stereo::kAllReduce ||
                stereotype == uml::stereo::kScatter ||
                stereotype == uml::stereo::kGather) {
       require_comm(node);
-      const double bytes = eval_tag(programs.size(), uml::tag::kSize, node,
-                                    uid);
-      const double hold = workload::CollectiveElement::model_time(
-          params, collective_kind(stereotype), params.processes, bytes);
-      out.events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
+      eval_tag(programs.size(), uml::tag::kSize, node, uid, value.data());
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const double hold = workload::CollectiveElement::model_time(
+            params(lane), collective_kind(stereotype), params(lane).processes,
+            value[lane]);
+        out[lane].events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
+      }
     } else if (stereotype == uml::stereo::kOmpFor) {
-      const double iterations =
-          eval_tag(programs.iterations(), uml::tag::kIterations, node, uid);
-      const double itercost =
-          eval_tag(programs.itercost(), uml::tag::kIterCost, node, uid);
+      Vec<double> itercost(w);
+      eval_tag(programs.iterations(), uml::tag::kIterations, node, uid,
+               value.data());
+      eval_tag(programs.itercost(), uml::tag::kIterCost, node, uid,
+               itercost.data());
       const auto chunk = static_cast<std::int64_t>(programs.chunk);
       const int threads = region_threads > 0 ? region_threads : 1;
-      const double compute = workload::WorkshareElement::model_compute(
-          iterations, itercost, *programs.schedule, chunk, threads, tid);
-      const double seconds = machine::compute_time(params, compute);
-      emit_compute(seconds, seconds);
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const double compute = workload::WorkshareElement::model_compute(
+            value[lane], itercost[lane], *programs.schedule, chunk, threads,
+            tid);
+        value[lane] = machine::compute_time(params(lane), compute);
+      }
+      emit_compute(value.data(), value.data());
     } else if (stereotype == uml::stereo::kOmpBarrier) {
       // Region threads are modeled as aligned (the region advances at the
       // pace of its slowest thread), so an intra-region barrier costs
@@ -783,42 +865,46 @@ struct Walker {
     run_fragment(programs, node);
     const DiagramProgram* sub_diagram = programs.subdiagram;
     const std::string& stereotype = node.stereotype();
+    const std::size_t w = width();
     if (stereotype == uml::stereo::kOmpParallel) {
-      int threads = st.params.threads_per_process;
+      Vec<double> value(w);
       if (programs.num_threads().has_value()) {
-        threads = static_cast<int>(eval_tag(
-            programs.num_threads(), uml::tag::kNumThreads, node,
-            programs.uid));
+        eval_tag(programs.num_threads(), uml::tag::kNumThreads, node,
+                 programs.uid, value.data());
+      } else {
+        for (std::size_t lane = 0; lane < w; ++lane) {
+          value[lane] = params(lane).threads_per_process;
+        }
       }
+      const int threads = uniform_int(value.data());
       if (threads < 1) {
         throw AnalyticError("parallel region at node " + node.id() +
                             ": num_threads must be >= 1");
       }
-      double max_elapsed = 0;
-      double total_demand = 0;
+      Vec<double> max_elapsed(w);
+      Vec<double> total_demand(w);
       for (int thread = 0; thread < threads; ++thread) {
-        WalkResult thread_result;
-        Walker walker = sub(thread_result);
+        Vec<WalkResult> thread_result(w);
+        Walker walker = sub(thread_result.data());
         walker.tid = thread;
         walker.region_threads = threads;
         walker.run_diagram(*sub_diagram);
-        max_elapsed = std::max(max_elapsed, sum_elapsed(thread_result.events));
-        total_demand += sum_demand(thread_result.events);
-        merge_criticals(thread_result, 1.0);
+        join_concurrent(thread_result.data(), max_elapsed.data(),
+                        total_demand.data());
       }
-      emit_compute(max_elapsed, total_demand);
+      emit_compute(max_elapsed.data(), total_demand.data());
     } else if (stereotype == uml::stereo::kOmpCritical) {
       const std::string& lock = *programs.critical_name;
-      WalkResult body;
-      Walker walker = sub(body);
+      Vec<WalkResult> body(w);
+      Walker walker = sub(body.data());
       walker.run_diagram(*sub_diagram);
       // The body runs on this process's critical path; the lock-held time
       // additionally serializes against every other holder of `lock`.
-      out.critical_demand[lock] += sum_elapsed(body.events);
-      merge_criticals(body, 1.0);
-      for (const auto& event : body.events) {
-        append_event(event);
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        out[lane].critical_demand[lock] += sum_elapsed(body[lane].events);
+        merge_criticals(lane, body[lane], 1.0);
       }
+      append_events(body.data());
     } else {
       // <<activity+>> (or unstereotyped composite): inline content.
       run_diagram(*sub_diagram);
@@ -829,102 +915,157 @@ struct Walker {
     const Node& node = *programs.node;
     run_fragment(programs, node);
     const DiagramProgram* body = programs.subdiagram;
-    const double raw =
-        eval_tag(programs.iterations(), uml::tag::kIterations, node,
-                 programs.uid);
-    if (std::isnan(raw) || raw < 0) {
-      throw AnalyticError("loop " + node.id() +
-                          ": iteration count is negative or NaN");
+    const std::size_t w = width();
+    Vec<double> raw(w);
+    eval_tag(programs.iterations(), uml::tag::kIterations, node, programs.uid,
+             raw.data());
+    Vec<std::int64_t> iterations(w);
+    bool uniform = true;
+    for (std::size_t lane = 0; lane < w; ++lane) {
+      if (std::isnan(raw[lane]) || raw[lane] < 0) {
+        throw AnalyticError("loop " + node.id() +
+                            ": iteration count is negative or NaN");
+      }
+      iterations[lane] = static_cast<std::int64_t>(raw[lane]);
+      uniform = uniform && iterations[lane] == iterations[0];
     }
-    const auto iterations = static_cast<std::int64_t>(raw);
-    if (iterations == 0) {
+    if (uniform && iterations[0] == 0) {
       return;
     }
+    for (std::size_t lane = 0; lane < w && !uniform; ++lane) {
+      if (iterations[lane] == 0) {
+        throw LaneDivergence{};  // zero/nonzero mix: no shared first trip
+      }
+    }
     bindings->push_back({programs.loop_var_slot, false});
-    double loop_value = 0;
-    double* const saved = (*frame)[programs.loop_var_slot];
-    (*frame)[programs.loop_var_slot] = &loop_value;
+    Vec<double> loop_value(w);
+    double* const saved = frame->frame()[programs.loop_var_slot];
+    frame->bind(programs.loop_var_slot, loop_value.data());
 
     // First iteration into a capture buffer: when the body provably does
     // not depend on the trip variable and has no side effects, the
     // remaining iterations are the first one times (n - 1) — the symbolic
     // trip-count resolution that keeps deep loop nests O(body), not
-    // O(body * n).
+    // O(body * n), and the one place lanes may differ in trip count.
     const std::uint64_t fragments_before = st.fragments_executed;
-    WalkResult first;
+    Vec<WalkResult> first(w);
     {
-      Walker walker = sub(first);
+      Walker walker = sub(first.data());
       walker.allow_comm = allow_comm;
       walker.run_diagram(*body);
     }
     const bool collapsible = !bindings->back().read &&
                              st.fragments_executed == fragments_before &&
-                             compute_only(first.events);
+                             compute_only(first[0].events);
+    if (!uniform && !collapsible) {
+      throw LaneDivergence{};  // per-trip replay needs one shared count
+    }
     if (collapsible && st.counters != nullptr) {
-      ++st.counters->loop_collapses;
+      st.counters->loop_collapses += w;
     }
-    for (const auto& event : first.events) {
-      append_event(event);
+    append_events(first.data());
+    for (std::size_t lane = 0; lane < w; ++lane) {
+      merge_criticals(lane, first[lane], 1.0);
     }
-    merge_criticals(first, 1.0);
     if (collapsible) {
-      const auto rest = static_cast<double>(iterations - 1);
-      emit_compute(rest * sum_elapsed(first.events),
-                   rest * sum_demand(first.events));
-      merge_criticals(first, rest);
+      Vec<double> elapsed(w);
+      Vec<double> demand(w);
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        const auto rest = static_cast<double>(iterations[lane] - 1);
+        elapsed[lane] = rest * sum_elapsed(first[lane].events);
+        demand[lane] = rest * sum_demand(first[lane].events);
+      }
+      emit_compute(elapsed.data(), demand.data());
+      for (std::size_t lane = 0; lane < w; ++lane) {
+        merge_criticals(lane, first[lane],
+                        static_cast<double>(iterations[lane] - 1));
+      }
     } else {
-      for (std::int64_t k = 1; k < iterations; ++k) {
+      for (std::int64_t k = 1; k < iterations[0]; ++k) {
         // Collapsed loops are O(1) and exempt; a non-collapsible body
         // replays per trip, so each trip is charged — this is where a
         // runaway trip count trips max_loop_trips (or the deadline).
         if (st.budget != nullptr) {
           st.budget->charge_loop_trips(1, "analytic-loop");
         }
-        loop_value = static_cast<double>(k);
+        std::fill_n(loop_value.data(), w, static_cast<double>(k));
         run_diagram(*body);
       }
     }
-    (*frame)[programs.loop_var_slot] = saved;
+    frame->bind(programs.loop_var_slot, saved);
     bindings->pop_back();
   }
 
-  void append_event(const Event& event) {
-    // Re-coalesce adjacent Compute/Busy runs when splicing sub-results.
-    if (event.kind == EvKind::Compute) {
-      emit_compute(event.elapsed, event.demand);
-    } else if (event.kind == EvKind::Busy) {
-      emit_busy(event.elapsed);
-    } else {
-      out.events.push_back(event);
+  /// Splices sub-results, re-coalescing adjacent Compute/Busy runs.
+  void append_events(WalkResult* from) {
+    Vec<double> elapsed(width());
+    Vec<double> demand(width());
+    for (std::size_t i = 0; i < from[0].events.size(); ++i) {
+      const EvKind kind = from[0].events[i].kind;
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        elapsed[lane] = from[lane].events[i].elapsed;
+        demand[lane] = from[lane].events[i].demand;
+      }
+      if (kind == EvKind::Compute) {
+        emit_compute(elapsed.data(), demand.data());
+      } else if (kind == EvKind::Busy) {
+        emit_busy(elapsed.data());
+      } else {
+        for (std::size_t lane = 0; lane < width(); ++lane) {
+          out[lane].events.push_back(from[lane].events[i]);
+        }
+      }
     }
   }
 
-  void merge_criticals(const WalkResult& from, double weight) {
+  /// Folds a concurrent branch (fork branch, region thread) into the
+  /// lanes' running maximum elapsed time and total demand: the branches
+  /// run side by side, so the slowest sets the pace.
+  void join_concurrent(WalkResult* branch, double* max_elapsed,
+                       double* total_demand) {
+    for (std::size_t lane = 0; lane < width(); ++lane) {
+      max_elapsed[lane] =
+          std::max(max_elapsed[lane], sum_elapsed(branch[lane].events));
+      total_demand[lane] += sum_demand(branch[lane].events);
+      merge_criticals(lane, branch[lane], 1.0);
+    }
+  }
+
+  void merge_criticals(std::size_t lane, const WalkResult& from,
+                       double weight) {
     for (const auto& [name, demand] : from.critical_demand) {
-      out.critical_demand[name] += weight * demand;
+      out[lane].critical_demand[name] += weight * demand;
     }
   }
 
-  void walk_process() {
-    // Per-process locals, initialized in declaration order and bound
-    // into the frame one by one (a forward reference falls through to
-    // globals/system parameters, like the tree walker's growing map).
+  /// Initializes the variables of `scope` in declaration order, binding
+  /// each into the frame as it goes (a forward reference falls through
+  /// to globals/system parameters, like the tree walker's growing map).
+  void bind_variables(uml::VariableScope scope) {
+    Vec<double> value(width());
     for (const auto& variable : impl.program->variables()) {
-      if (variable.scope != uml::VariableScope::Local) {
+      if (variable.scope != scope) {
         continue;
       }
-      double value = 0;
+      std::fill_n(value.data(), width(), 0.0);
       if (variable.initializer.has_value()) {
         try {
-          value = eval_program(*variable.initializer, 0);
+          eval_program(*variable.initializer, 0, value.data());
         } catch (const expr::EvalError& error) {
           throw AnalyticError("initializer of variable " + variable.name +
                               ": " + error.what());
         }
       }
-      locals[variable.slot] = coerce(variable.type, value);
-      (*frame)[variable.slot] = &locals[variable.slot];
+      double* const storage = frame->lanes(variable.slot);
+      for (std::size_t lane = 0; lane < width(); ++lane) {
+        storage[lane] = coerce(variable.type, value[lane]);
+      }
+      frame->bind(variable.slot, storage);
     }
+  }
+
+  void walk_process() {
+    bind_variables(uml::VariableScope::Local);
     run_diagram(impl.program->main_diagram());
   }
 };
@@ -1224,724 +1365,195 @@ AnalyticReport assemble_report(const machine::SystemParameters& params,
 }
 
 // ---------------------------------------------------------------------------
-// Batched symbolic walk
+// Evaluation: globals, per-process walks, per-lane replay and bounds
 // ---------------------------------------------------------------------------
 
-/// Internal control-flow signal: the batched walk hit lane-divergent
-/// control, a construct outside the batched subset, or a condition the
-/// scalar walker would diagnose with an error.  evaluate_batch catches
-/// it (along with any evaluation error) and re-runs every lane through
-/// the scalar path, which is always exact — errors included.  Never
-/// escapes the analytic layer.
-struct BatchDivergence {};
-
-/// Walks one process's control flow across all scenario lanes at once,
-/// emitting one structurally identical Event per lane per step — the
-/// batched analogue of Walker, restricted to the rank-independent SPMD
-/// shared walk (pid 0, every rank identical).  Transient values are lane
-/// arrays; cost expressions evaluate through the vectorized expr VM
-/// against the slot-major batch frame.
-///
-/// Supported: plain/<<action+>> compute, send/recv/barrier/collectives
-/// with lane-uniform peers, <<ompfor>>/<<ompbarrier>>, guard-resolved
-/// decisions with lane-uniform truthiness, <<loop+>> (lane-uniform trip
-/// counts; lane-varying counts allowed when the body collapses and every
-/// lane iterates at least once), and inlined <<activity+>> composites.
-/// Everything else — forks, parallel regions, critical sections,
-/// probabilistic decisions, code fragments, pid/tid-reading expressions
-/// — raises BatchDivergence.
-struct BatchWalker {
+/// Evaluates the model under every scenario of `lanes` into `reports`
+/// (same order), walking all lanes in lockstep under `Lanes`.  `lanes`
+/// must be in walk order — processes descending — so that when the walk
+/// is rank-dependent, pid p's walk covers exactly the prefix of lanes
+/// with more than p processes, as each lane's own walks would.
+template <class Lanes>
+void evaluate_lanes(const AnalyticEstimator::Impl& impl,
+                    std::span<const machine::SystemParameters* const> lanes,
+                    obs::AnalyticCounters* counters, guard::Budget* budget,
+                    AnalyticReport* reports) {
   using Impl = AnalyticEstimator::Impl;
-  using BatchState = Impl::BatchState;
-  using NodePrograms = Impl::NodePrograms;
-  using DiagramProgram = lower::DiagramProgram;
+  for (const auto* params : lanes) {
+    params->validate();
+  }
+  const lower::ModelProgram& program = *impl.program;
+  const std::size_t slots = program.slot_count();
+  const std::size_t width = lanes.size();
+  Impl::EvalState st(lanes, slots);
+  st.counters = counters;
+  st.budget = budget;
+  Impl::FunctionCaller functions;
+  functions.impl = &impl;
+  functions.st = &st;
 
-  BatchWalker(const Impl& impl_in, BatchState& st_in,
-              std::vector<WalkResult>& out_in)
-      : impl(impl_in), st(st_in), out(out_in) {}
+  // The run frame binds the structural parameters, then the globals in
+  // declaration order (interpreter start_run semantics); every other
+  // slot stays unbound.
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    st.run.unbind(static_cast<expr::Slot>(slot));
+  }
+  const auto bind_structural = [&](expr::Slot slot, auto field) {
+    double* const values = st.run.lanes(slot);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      values[lane] = static_cast<double>(lanes[lane]->*field);
+    }
+    st.run.bind(slot, values);
+  };
+  bind_structural(program.np_slot(), &machine::SystemParameters::processes);
+  bind_structural(program.nt_slot(),
+                  &machine::SystemParameters::threads_per_process);
+  bind_structural(program.nn_slot(), &machine::SystemParameters::nodes);
+  bind_structural(program.ppn_slot(),
+                  &machine::SystemParameters::processors_per_node);
 
-  const Impl& impl;
-  BatchState& st;
-  std::vector<WalkResult>& out;  // one per lane, lockstep structure
-  std::vector<double*>* frame = nullptr;  // slot -> lane array
-  double* locals = nullptr;               // slot-major local storage
-  std::vector<LoopBinding>* bindings = nullptr;
-  const Impl::BatchFunctionCaller* functions = nullptr;
-  bool allow_comm = true;
-  std::uint64_t* steps = nullptr;
-  std::uint64_t step_limit = 0;
-
-  [[nodiscard]] std::size_t width() const { return st.width; }
-
-  /// A sub-walker for loop bodies: shares the lexical state, writes to
-  /// its own lane results, and may not communicate (mirrors Walker::sub).
-  [[nodiscard]] BatchWalker sub(std::vector<WalkResult>& sub_out) const {
-    BatchWalker walker(impl, st, sub_out);
-    walker.frame = frame;
-    walker.locals = locals;
-    walker.bindings = bindings;
-    walker.functions = functions;
-    walker.allow_comm = false;
-    walker.steps = steps;
-    walker.step_limit = step_limit;
+  std::vector<WalkResult> results;  // walk-major: walk p's lanes, then p+1's
+  results.reserve(width);
+  struct WalkSpan {
+    std::size_t first;        // the walk's lane-0 result
+    std::uint64_t elements;   // st.elements after the walk
+  };
+  std::vector<WalkSpan> walks;
+  std::vector<LoopBinding> bindings;  // empty between walks
+  const auto make_walker = [&](auto policy, int pid, WalkResult* out,
+                               std::size_t active, expr::SlotBlock& frame,
+                               std::uint64_t& steps) {
+    Walker<decltype(policy)> walker(impl, st, out, active);
+    walker.pid = pid;
+    walker.frame = &frame;
+    walker.bindings = &bindings;
+    walker.functions = &functions;
+    walker.steps = &steps;
+    walker.step_limit = 1000000ULL + 1000ULL * program.stats().nodes;
     return walker;
-  }
-
-  // --- Expression evaluation ---------------------------------------------
-
-  void mark_loop_reads(const expr::Compiled& program) const {
-    for (auto it = bindings->rbegin(); it != bindings->rend(); ++it) {
-      bool shadowed = false;
-      for (auto inner = bindings->rbegin(); inner != it; ++inner) {
-        if (inner->slot == it->slot) {
-          shadowed = true;
-          break;
-        }
-      }
-      if (!shadowed && program.references_slot(it->slot)) {
-        it->read = true;
-      }
+  };
+  // One per-process frame (bindings + locals) serves every walk: each
+  // starts from the run frame with zeroed locals.
+  expr::SlotBlock frame(slots, width);
+  const auto walk = [&](int pid, std::size_t active) {
+    const auto run = st.run.frame();
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      std::fill_n(frame.lanes(static_cast<expr::Slot>(slot)), width, 0.0);
+      frame.bind(static_cast<expr::Slot>(slot), run[slot]);
     }
-  }
-
-  /// Evaluates `program` across all lanes into `out_lanes` (width
-  /// doubles).  pid/tid-reading programs diverge: the batch only covers
-  /// the rank-independent SPMD walk.
-  void eval_program(const expr::Compiled& program, int uid,
-                    double* out_lanes) const {
-    if (program.may_read_pid_tid()) {
-      throw BatchDivergence{};
-    }
-    mark_loop_reads(program);
-    expr::BatchEvalContext ctx;
-    ctx.frame = *frame;
-    ctx.width = st.width;
-    ctx.functions = functions;
-    ctx.uid = static_cast<double>(uid);
-    ctx.counters = st.counters != nullptr ? &st.counters->expr : nullptr;
-    ctx.budget = st.budget;
-    program.eval_batch(ctx, out_lanes);
-  }
-
-  /// Optional tag program across lanes; absent tags are 0.0 in every
-  /// lane.  Evaluation errors propagate raw — the fallback re-runs the
-  /// lanes through the scalar walker, which re-raises them with their
-  /// exact node/tag context.
-  void eval_tag(const std::optional<expr::Compiled>& tag, int uid,
-                double* out_lanes) const {
-    if (!tag.has_value()) {
-      std::fill_n(out_lanes, width(), 0.0);
-      return;
-    }
-    eval_program(*tag, uid, out_lanes);
-  }
-
-  void require_fragment_free(const NodePrograms& programs) const {
-    if (!programs.fragment.empty()) {
-      throw BatchDivergence{};  // fragments mutate run state per walk
-    }
-  }
-
-  /// A lane-uniform integer tag (message peers must match across lanes
-  /// for the lockstep event structure to hold).
-  [[nodiscard]] int uniform_int(const double* lanes) const {
-    const int value = static_cast<int>(lanes[0]);
-    for (std::size_t lane = 1; lane < width(); ++lane) {
-      if (static_cast<int>(lanes[lane]) != value) {
-        throw BatchDivergence{};
-      }
-    }
-    return value;
-  }
-
-  // --- Event emission: lockstep across lanes ------------------------------
-
-  void emit_compute(const double* elapsed, const double* demand) {
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      if (std::isnan(elapsed[lane]) || elapsed[lane] < 0) {
-        throw BatchDivergence{};  // scalar path raises the exact error
-      }
-    }
-    // Every lane shares one event structure, so one coalescing decision
-    // covers all of them (mirrors Walker::emit_compute per lane).
-    if (!out[0].events.empty() &&
-        out[0].events.back().kind == EvKind::Compute) {
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.back().elapsed += elapsed[lane];
-        out[lane].events.back().demand += demand[lane];
-      }
-      return;
-    }
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      out[lane].events.push_back(
-          {EvKind::Compute, elapsed[lane], demand[lane], 0, 0, 0});
-    }
-  }
-
-  void emit_busy(const double* elapsed) {
-    if (!out[0].events.empty() && out[0].events.back().kind == EvKind::Busy) {
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        out[lane].events.back().elapsed += elapsed[lane];
-      }
-      return;
-    }
-    for (std::size_t lane = 0; lane < width(); ++lane) {
-      out[lane].events.push_back({EvKind::Busy, elapsed[lane], 0, 0, 0, 0});
-    }
-  }
-
-  /// Splices per-lane sub-results, re-coalescing Compute/Busy runs like
-  /// Walker::append_event (sub-results are lockstep, so event i has the
-  /// same kind in every lane).
-  void append_events(const std::vector<WalkResult>& from) {
-    std::vector<double> elapsed(width());
-    std::vector<double> demand(width());
-    for (std::size_t i = 0; i < from[0].events.size(); ++i) {
-      const EvKind kind = from[0].events[i].kind;
-      if (kind == EvKind::Compute) {
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          elapsed[lane] = from[lane].events[i].elapsed;
-          demand[lane] = from[lane].events[i].demand;
-        }
-        emit_compute(elapsed.data(), demand.data());
-      } else if (kind == EvKind::Busy) {
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          elapsed[lane] = from[lane].events[i].elapsed;
-        }
-        emit_busy(elapsed.data());
-      } else {
-        for (std::size_t lane = 0; lane < width(); ++lane) {
-          out[lane].events.push_back(from[lane].events[i]);
-        }
-      }
-    }
-  }
-
-  // --- Control flow -------------------------------------------------------
-
-  void run_diagram(const DiagramProgram& diagram) {
-    if (diagram.initial == nullptr) {
-      throw BatchDivergence{};  // scalar reports the missing initial node
-    }
-    walk(*diagram.initial);
-  }
-
-  /// Walks from `start` to a Final node.  Forks and probabilistic
-  /// decisions diverge, so no stop-kind machinery is needed here.
-  void walk(const NodePrograms& start) {
-    const NodePrograms* node = &start;
-    while (node != nullptr) {
-      if (++*steps > step_limit) {
-        throw BatchDivergence{};  // scalar raises the step-limit error
-      }
-      if (st.budget != nullptr && (*steps & 1023U) == 0) {
-        st.budget->checkpoint("analytic-walk");
-      }
-      if (node->kind == NodeKind::Fork) {
-        throw BatchDivergence{};
-      }
-      if (node->kind == NodeKind::Decision && node->probabilistic) {
-        throw BatchDivergence{};
-      }
-      execute_node(*node);
-      if (node->kind == NodeKind::Final) {
-        return;
-      }
-      node = next_node(*node);
-    }
-  }
-
-  [[nodiscard]] const NodePrograms* next_node(const NodePrograms& node) const {
-    const auto outgoing = node.edges;
-    if (node.kind == NodeKind::Decision) {
-      const lower::ControlEdge* chosen = nullptr;
-      const lower::ControlEdge* fallback = nullptr;
-      std::vector<double> value(width());
-      for (const auto& edge : outgoing) {
-        if (edge.is_else) {
-          if (fallback == nullptr) {
-            fallback = &edge;
-          }
-          continue;
-        }
-        if (edge.guard == nullptr) {
-          continue;  // unguarded edge out of a decision: never taken
-        }
-        eval_program(*edge.guard, node.uid, value.data());
-        const bool taken = expr::truthy(value[0]);
-        for (std::size_t lane = 1; lane < width(); ++lane) {
-          if (expr::truthy(value[lane]) != taken) {
-            throw BatchDivergence{};  // lanes branch apart
-          }
-        }
-        if (taken) {
-          chosen = &edge;
-          break;
-        }
-      }
-      if (chosen == nullptr) {
-        chosen = fallback;
-      }
-      if (chosen == nullptr) {
-        throw BatchDivergence{};  // scalar raises the no-guard error
-      }
-      return chosen->to;
-    }
-    if (outgoing.empty()) {
-      return nullptr;
-    }
-    if (outgoing.size() > 1) {
-      throw BatchDivergence{};
-    }
-    return outgoing[0].to;
-  }
-
-  void execute_node(const NodePrograms& node) {
-    ++st.elements;
-    switch (node.kind) {
-      case NodeKind::Initial:
-      case NodeKind::Final:
-      case NodeKind::Merge:
-      case NodeKind::Join:
-      case NodeKind::Decision:
-        return;
-      case NodeKind::Fork:  // diverged by walk() before reaching here
-        throw BatchDivergence{};
-      case NodeKind::Action:
-        execute_action(node);
-        return;
-      case NodeKind::Activity:
-        execute_activity(node);
-        return;
-      case NodeKind::Loop:
-        execute_loop(node);
-        return;
-    }
-  }
-
-  void execute_action(const NodePrograms& programs) {
-    const Node& node = *programs.node;
-    require_fragment_free(programs);
-    const int uid = programs.uid;
-    const std::string& stereotype = node.stereotype();
-    const std::size_t w = width();
-    std::vector<double> value(w);
-    std::vector<double> seconds(w);
-    if (stereotype == uml::stereo::kActionPlus || stereotype.empty()) {
-      if (programs.cost().has_value()) {
-        eval_tag(programs.cost(), uid, value.data());
-      } else if (programs.time.has_value()) {
-        std::fill(value.begin(), value.end(), *programs.time);
-      } else {
-        std::fill(value.begin(), value.end(), 0.0);
-      }
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        seconds[lane] = machine::compute_time(st.lanes[lane], value[lane]);
-      }
-      emit_compute(seconds.data(), seconds.data());
-    } else if (stereotype == uml::stereo::kSend) {
-      if (!allow_comm) {
-        throw BatchDivergence{};
-      }
-      eval_tag(programs.dest(), uid, value.data());
-      const int dest = uniform_int(value.data());
-      eval_tag(programs.size(), uid, value.data());  // bytes may vary
-      const int tag = static_cast<int>(programs.msg_tag);
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        seconds[lane] = st.lanes[lane].network_overhead;
-      }
-      emit_busy(seconds.data());
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        out[lane].events.push_back(
-            {EvKind::Send, 0, 0, value[lane], dest, tag});
-      }
-    } else if (stereotype == uml::stereo::kRecv) {
-      if (!allow_comm) {
-        throw BatchDivergence{};
-      }
-      eval_tag(programs.source(), uid, value.data());
-      const int source = uniform_int(value.data());
-      const int tag = static_cast<int>(programs.msg_tag);
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        out[lane].events.push_back({EvKind::Recv, 0, 0, 0, source, tag});
-      }
-    } else if (stereotype == uml::stereo::kBarrier) {
-      if (!allow_comm) {
-        throw BatchDivergence{};
-      }
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        out[lane].events.push_back(
-            {EvKind::Barrier, machine::barrier_time(st.lanes[lane]), 0, 0, 0,
-             0});
-      }
-    } else if (stereotype == uml::stereo::kBroadcast ||
-               stereotype == uml::stereo::kReduce ||
-               stereotype == uml::stereo::kAllReduce ||
-               stereotype == uml::stereo::kScatter ||
-               stereotype == uml::stereo::kGather) {
-      if (!allow_comm) {
-        throw BatchDivergence{};
-      }
-      eval_tag(programs.size(), uid, value.data());
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        const double hold = workload::CollectiveElement::model_time(
-            st.lanes[lane], collective_kind(stereotype),
-            st.lanes[lane].processes, value[lane]);
-        out[lane].events.push_back({EvKind::Barrier, hold, 0, 0, 0, 0});
-      }
-    } else if (stereotype == uml::stereo::kOmpFor) {
-      std::vector<double> itercost(w);
-      eval_tag(programs.iterations(), uid, value.data());
-      eval_tag(programs.itercost(), uid, itercost.data());
-      const std::string& schedule = *programs.schedule;
-      const auto chunk = static_cast<std::int64_t>(programs.chunk);
-      // Parallel regions diverge, so a batched <<ompfor>> is always
-      // outside one: threads = 1, tid = 0 — the scalar walker's values.
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        const double compute = workload::WorkshareElement::model_compute(
-            value[lane], itercost[lane], schedule, chunk, /*threads=*/1,
-            /*tid=*/0);
-        seconds[lane] = machine::compute_time(st.lanes[lane], compute);
-      }
-      emit_compute(seconds.data(), seconds.data());
-    } else if (stereotype == uml::stereo::kOmpBarrier) {
-      // No cost, exactly like the scalar walker.
+    const std::size_t first = results.size();
+    results.resize(first + active);
+    std::uint64_t steps = 0;
+    if (active == 1) {
+      // A walk left with one lane runs on plain doubles: width-one
+      // eval_batch is slower than eval.
+      make_walker(OneLane{}, pid, &results[first], 1, frame, steps)
+          .walk_process();
     } else {
-      throw BatchDivergence{};  // scalar raises the unsupported-stereotype error
+      make_walker(Lanes{}, pid, &results[first], active, frame, steps)
+          .walk_process();
+    }
+    walks.push_back({first, st.elements});
+  };
+  {
+    std::uint64_t steps = 0;
+    make_walker(Lanes{}, 0, nullptr, width, st.run, steps)
+        .bind_variables(uml::VariableScope::Global);
+  }
+
+  st.pid_queried = false;
+  walk(0, width);
+  // A walk that reads no pid/tid and mutates no state is
+  // process-independent: every process repeats the same timeline, so one
+  // walk serves all of them — the SPMD fast path that makes grid sweeps
+  // cheap.  Otherwise every pid gets its own walk.
+  const bool spmd = !st.pid_queried && st.fragments_executed == 0;
+  if (!spmd) {
+    std::size_t walked = 0;
+    for (const auto* params : lanes) {
+      walked += static_cast<std::size_t>(params->processes);
+    }
+    results.reserve(walked);
+    walks.reserve(static_cast<std::size_t>(lanes[0]->processes));
+    std::size_t active = width;
+    for (int pid = 1; pid < lanes[0]->processes; ++pid) {
+      while (lanes[active - 1]->processes <= pid) {
+        --active;
+      }
+      walk(pid, active);
     }
   }
 
-  void execute_activity(const NodePrograms& programs) {
-    require_fragment_free(programs);
-    const std::string& stereotype = programs.node->stereotype();
-    if (stereotype == uml::stereo::kOmpParallel ||
-        stereotype == uml::stereo::kOmpCritical) {
-      throw BatchDivergence{};
+  // One scratch (and one per-pid pointer table) serves every lane's
+  // replay — its working set recurs, so after the first lane the per-lane
+  // heap traffic is just the report itself.
+  ReplayScratch scratch;
+  std::vector<const WalkResult*> per_pid;
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    const machine::SystemParameters& params = *lanes[lane];
+    const auto np = static_cast<std::size_t>(params.processes);
+    per_pid.resize(np);
+    for (std::size_t p = 0; p < np; ++p) {
+      per_pid[p] = &results[walks[spmd ? 0 : p].first + lane];
     }
-    // <<activity+>> (or unstereotyped composite): inline content.
-    run_diagram(*programs.subdiagram);
+    if (spmd && counters != nullptr) {
+      ++counters->spmd_fast_path;
+    }
+    reports[lane] = assemble_report(params, per_pid,
+                                    walks[spmd ? 0 : np - 1].elements, counters,
+                                    budget, scratch);
   }
-
-  void execute_loop(const NodePrograms& programs) {
-    require_fragment_free(programs);
-    const DiagramProgram& body = *programs.subdiagram;
-    const std::size_t w = width();
-    std::vector<double> raw(w);
-    eval_tag(programs.iterations(), programs.uid, raw.data());
-    std::vector<std::int64_t> iterations(w);
-    bool uniform = true;
-    for (std::size_t lane = 0; lane < w; ++lane) {
-      if (std::isnan(raw[lane]) || raw[lane] < 0) {
-        throw BatchDivergence{};  // scalar raises the exact loop error
-      }
-      iterations[lane] = static_cast<std::int64_t>(raw[lane]);
-      uniform = uniform && iterations[lane] == iterations[0];
-    }
-    if (uniform && iterations[0] == 0) {
-      return;
-    }
-    if (!uniform) {
-      for (const auto trips : iterations) {
-        if (trips == 0) {
-          throw BatchDivergence{};  // zero/nonzero mix: structure diverges
-        }
-      }
-    }
-    bindings->push_back({programs.loop_var_slot, false});
-    std::vector<double> loop_lanes(w, 0.0);
-    double* const saved = (*frame)[programs.loop_var_slot];
-    (*frame)[programs.loop_var_slot] = loop_lanes.data();
-
-    // First iteration into capture buffers, exactly like the scalar
-    // walker: when the body never reads the trip variable and is pure
-    // compute, the remaining per-lane iterations are the first one times
-    // (n_lane - 1) — which also covers lane-varying trip counts, the one
-    // place batched control flow may differ per lane.
-    std::vector<WalkResult> first(w);
-    {
-      BatchWalker walker = sub(first);
-      walker.allow_comm = allow_comm;
-      walker.run_diagram(body);
-    }
-    const bool collapsible =
-        !bindings->back().read && compute_only(first[0].events);
-    if (!uniform && !collapsible) {
-      throw BatchDivergence{};  // per-trip replay needs one shared count
-    }
-    if (collapsible && st.counters != nullptr) {
-      ++st.counters->loop_collapses;
-    }
-    append_events(first);
-    if (collapsible) {
-      std::vector<double> elapsed(w);
-      std::vector<double> demand(w);
-      for (std::size_t lane = 0; lane < w; ++lane) {
-        const auto rest = static_cast<double>(iterations[lane] - 1);
-        elapsed[lane] = rest * sum_elapsed(first[lane].events);
-        demand[lane] = rest * sum_demand(first[lane].events);
-      }
-      emit_compute(elapsed.data(), demand.data());
-    } else {
-      for (std::int64_t k = 1; k < iterations[0]; ++k) {
-        if (st.budget != nullptr) {
-          st.budget->charge_loop_trips(1, "analytic-loop");
-        }
-        std::fill(loop_lanes.begin(), loop_lanes.end(),
-                  static_cast<double>(k));
-        run_diagram(body);
-      }
-    }
-    (*frame)[programs.loop_var_slot] = saved;
-    bindings->pop_back();
-  }
-
-  void walk_process() {
-    // Per-process locals, initialized in declaration order across lanes
-    // and bound into the frame one by one (scalar walk_process order).
-    std::vector<double> value(width());
-    for (const auto& variable : impl.program->variables()) {
-      if (variable.scope != uml::VariableScope::Local) {
-        continue;
-      }
-      if (variable.initializer.has_value()) {
-        eval_program(*variable.initializer, 0, value.data());
-      } else {
-        std::fill(value.begin(), value.end(), 0.0);
-      }
-      for (std::size_t lane = 0; lane < width(); ++lane) {
-        locals[variable.slot * width() + lane] =
-            coerce(variable.type, value[lane]);
-      }
-      (*frame)[variable.slot] = &locals[variable.slot * width()];
-    }
-    run_diagram(impl.program->main_diagram());
-  }
-};
+}
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Impl::evaluate — walk, replay, bound
-// ---------------------------------------------------------------------------
 
 AnalyticReport AnalyticEstimator::Impl::evaluate(
     const machine::SystemParameters& params, obs::AnalyticCounters* counters,
     guard::Budget* budget) const {
-  params.validate();
-  EvalState st;
-  st.counters = counters;
-  st.budget = budget;
-  st.params = params;
-  st.np = static_cast<double>(params.processes);
-  st.nt = static_cast<double>(params.threads_per_process);
-  st.nn = static_cast<double>(params.nodes);
-  st.ppn = static_cast<double>(params.processors_per_node);
-  st.global_values.assign(program->slot_count(), 0.0);
-  st.run_frame.assign(program->slot_count(), nullptr);
-  st.run_frame[program->np_slot()] = &st.np;
-  st.run_frame[program->nt_slot()] = &st.nt;
-  st.run_frame[program->nn_slot()] = &st.nn;
-  st.run_frame[program->ppn_slot()] = &st.ppn;
-  FunctionCaller functions;
-  functions.impl = this;
-  functions.st = &st;
-
-  // Global variables, initialized in declaration order and bound into
-  // the run frame one by one (interpreter start_run semantics).
-  for (const auto& variable : program->variables()) {
-    if (variable.scope != uml::VariableScope::Global) {
-      continue;
-    }
-    double value = 0;
-    if (variable.initializer.has_value()) {
-      expr::EvalContext ctx;
-      ctx.frame = st.run_frame;
-      ctx.functions = &functions;
-      ctx.counters = counters != nullptr ? &counters->expr : nullptr;
-      ctx.budget = budget;
-      try {
-        value = variable.initializer->eval(ctx);
-      } catch (const expr::EvalError& error) {
-        throw AnalyticError("initializer of variable " + variable.name +
-                            ": " + error.what());
-      }
-    }
-    st.global_values[variable.slot] = coerce(variable.type, value);
-    st.run_frame[variable.slot] = &st.global_values[variable.slot];
-  }
-
-  const int np = params.processes;
-  std::vector<WalkResult> storage;
-  storage.reserve(static_cast<std::size_t>(np));
-  std::vector<const WalkResult*> per_pid(static_cast<std::size_t>(np));
-
-  const auto walk_one = [&](int pid) -> WalkResult {
-    WalkResult result;
-    std::vector<double> locals(program->slot_count(), 0.0);
-    std::vector<double*> frame = st.run_frame;  // per-process frame
-    std::vector<LoopBinding> bindings;
-    std::uint64_t steps = 0;
-    Walker walker(*this, st, result);
-    walker.pid = pid;
-    walker.frame = &frame;
-    walker.locals = locals.data();
-    walker.bindings = &bindings;
-    walker.functions = &functions;
-    walker.steps = &steps;
-    walker.step_limit = 1000000ULL + 1000ULL * program->stats().nodes;
-    walker.walk_process();
-    return result;
-  };
-
-  st.pid_queried = false;
-  const std::uint64_t fragments_before = st.fragments_executed;
-  storage.push_back(walk_one(0));
-  if (!st.pid_queried && st.fragments_executed == fragments_before) {
-    // The walk is process-independent (no pid/tid reads, no state
-    // mutation): every process repeats the same timeline, so one walk
-    // serves all np — the SPMD fast path that makes grid sweeps cheap.
-    if (counters != nullptr) {
-      ++counters->spmd_fast_path;
-    }
-    for (int pid = 0; pid < np; ++pid) {
-      per_pid[static_cast<std::size_t>(pid)] = &storage[0];
-    }
-  } else {
-    for (int pid = 1; pid < np; ++pid) {
-      storage.push_back(walk_one(pid));
-    }
-    for (int pid = 0; pid < np; ++pid) {
-      per_pid[static_cast<std::size_t>(pid)] =
-          &storage[static_cast<std::size_t>(pid)];
-    }
-  }
-
-  ReplayScratch scratch;
-  return assemble_report(params, per_pid, st.elements, counters, budget,
-                         scratch);
+  const machine::SystemParameters* const lane = &params;
+  AnalyticReport report;
+  evaluate_lanes<OneLane>(*this, {&lane, 1}, counters, budget, &report);
+  return report;
 }
-
-// ---------------------------------------------------------------------------
-// Impl::evaluate_batch — one batched walk, per-lane finalize
-// ---------------------------------------------------------------------------
 
 std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch(
     std::span<const machine::SystemParameters> lanes,
     obs::AnalyticCounters* counters, guard::Budget* budget,
     std::size_t* lanes_fallback) const {
+  std::vector<AnalyticReport> reports(lanes.size());
   if (lanes.size() > 1) {
+    // Walk order: processes descending, so a rank-dependent model's pid
+    // walks each cover a prefix of the block.
+    std::vector<std::size_t> order(lanes.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return lanes[a].processes > lanes[b].processes;
+                     });
+    std::vector<const machine::SystemParameters*> walk_order(lanes.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      walk_order[i] = &lanes[order[i]];
+    }
+    std::vector<AnalyticReport> walked(lanes.size());
     try {
-      return evaluate_batch_fast(lanes, counters, budget);
+      evaluate_lanes<LaneBlock>(*this, walk_order, counters, budget,
+                                walked.data());
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        reports[order[i]] = std::move(walked[i]);
+      }
+      return reports;
     } catch (const guard::GuardError&) {
       throw;  // tripped budgets propagate — retrying would double-charge
     } catch (...) {
-      // Divergence or a lane error: the scalar loop below re-evaluates
-      // every lane exactly, raising any error with its scalar message.
+      // Divergence or a lane error: every lane re-runs alone, exactly,
+      // raising any error with its one-lane message.
       if (lanes_fallback != nullptr) {
         *lanes_fallback += lanes.size();
       }
     }
   }
-  std::vector<AnalyticReport> reports;
-  reports.reserve(lanes.size());
-  for (const auto& params : lanes) {
-    reports.push_back(evaluate(params, counters, budget));
-  }
-  return reports;
-}
-
-std::vector<AnalyticReport> AnalyticEstimator::Impl::evaluate_batch_fast(
-    std::span<const machine::SystemParameters> lanes,
-    obs::AnalyticCounters* counters, guard::Budget* budget) const {
-  const std::size_t width = lanes.size();
-  for (const auto& params : lanes) {
-    params.validate();
-  }
-  BatchState st;
-  st.lanes = lanes;
-  st.width = width;
-  st.counters = counters;
-  st.budget = budget;
-  st.np_lanes.resize(width);
-  st.nt_lanes.resize(width);
-  st.nn_lanes.resize(width);
-  st.ppn_lanes.resize(width);
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    st.np_lanes[lane] = static_cast<double>(lanes[lane].processes);
-    st.nt_lanes[lane] =
-        static_cast<double>(lanes[lane].threads_per_process);
-    st.nn_lanes[lane] = static_cast<double>(lanes[lane].nodes);
-    st.ppn_lanes[lane] =
-        static_cast<double>(lanes[lane].processors_per_node);
-  }
-  st.global_values.assign(program->slot_count() * width, 0.0);
-  st.run_frame.assign(program->slot_count(), nullptr);
-  st.run_frame[program->np_slot()] = st.np_lanes.data();
-  st.run_frame[program->nt_slot()] = st.nt_lanes.data();
-  st.run_frame[program->nn_slot()] = st.nn_lanes.data();
-  st.run_frame[program->ppn_slot()] = st.ppn_lanes.data();
-  BatchFunctionCaller functions;
-  functions.impl = this;
-  functions.st = &st;
-
-  // Global variables across lanes, initialized in declaration order and
-  // bound one by one (identical semantics to the scalar init loop; the
-  // scalar path evaluates them with pid = tid = 0 too).
-  std::vector<double> value(width);
-  for (const auto& variable : program->variables()) {
-    if (variable.scope != uml::VariableScope::Global) {
-      continue;
-    }
-    if (variable.initializer.has_value()) {
-      expr::BatchEvalContext ctx;
-      ctx.frame = st.run_frame;
-      ctx.width = width;
-      ctx.functions = &functions;
-      ctx.counters = counters != nullptr ? &counters->expr : nullptr;
-      ctx.budget = budget;
-      variable.initializer->eval_batch(ctx, value.data());
-    } else {
-      std::fill(value.begin(), value.end(), 0.0);
-    }
-    for (std::size_t lane = 0; lane < width; ++lane) {
-      st.global_values[variable.slot * width + lane] =
-          coerce(variable.type, value[lane]);
-    }
-    st.run_frame[variable.slot] = &st.global_values[variable.slot * width];
-  }
-
-  // One batched walk covers every lane AND every rank: pid/tid reads and
-  // fragments diverge inside, so a walk that completes is exactly the
-  // walk the scalar SPMD fast path would share across all processes.
-  std::vector<WalkResult> lane_results(width);
-  std::vector<double> locals(program->slot_count() * width, 0.0);
-  std::vector<double*> frame = st.run_frame;
-  std::vector<LoopBinding> bindings;
-  std::uint64_t steps = 0;
-  BatchWalker walker(*this, st, lane_results);
-  walker.frame = &frame;
-  walker.locals = locals.data();
-  walker.bindings = &bindings;
-  walker.functions = &functions;
-  walker.steps = &steps;
-  walker.step_limit = 1000000ULL + 1000ULL * program->stats().nodes;
-  walker.walk_process();
-
-  std::vector<AnalyticReport> reports;
-  reports.reserve(width);
-  // One scratch (and one per-pid pointer table) serves every lane's
-  // finalize — the replay working set recurs, so after the first lane
-  // the per-lane heap traffic is just the report itself.
-  ReplayScratch scratch;
-  std::vector<const WalkResult*> per_pid;
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    if (counters != nullptr) {
-      ++counters->spmd_fast_path;  // one shared walk per lane, as scalar
-    }
-    per_pid.assign(static_cast<std::size_t>(lanes[lane].processes),
-                   &lane_results[lane]);
-    reports.push_back(assemble_report(lanes[lane], per_pid, st.elements,
-                                      counters, budget, scratch));
+  for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+    reports[lane] = evaluate(lanes[lane], counters, budget);
   }
   return reports;
 }

@@ -82,22 +82,23 @@ void Compiled::eval_batch(const BatchEvalContext& ctx, double* out) const {
   try {
     // Structure-of-arrays operand stack: stack value i occupies `width`
     // contiguous lanes at stack + i * width.  The compiler's max_stack_
-    // bounds the footprint; typical programs fit the inline buffer.
+    // bounds the footprint; typical programs fit the inline buffer.  A
+    // program with calls gets one value more, past the deepest operand,
+    // for the callee's result lanes (which must not alias its arguments).
+    const std::size_t values = max_stack_ + (calls_user_ ? 1 : 0);
     constexpr std::size_t kInlineLanes = 256;
     double inline_stack[kInlineLanes];
     std::vector<double> heap_stack;
     double* stack = inline_stack;
-    if (max_stack_ * width > kInlineLanes) {
-      heap_stack.resize(max_stack_ * width);
+    if (values * width > kInlineLanes) {
+      heap_stack.resize(values * width);
       stack = heap_stack.data();
     }
-    // CallUser scratch, sized once up front (capacity persists across
-    // calls); programs without calls never touch it.
-    std::vector<const double*> call_args;
-    std::vector<double> call_out;
-    if (calls_user_) {
-      call_out.resize(width);
-    }
+    double* const call_out = stack + max_stack_ * width;
+    // CallUser argument pointers: inline for the usual arities.
+    constexpr std::size_t kInlineArgs = 8;
+    const double* inline_args[kInlineArgs];
+    std::vector<const double*> heap_args;
     const detail::BatchKernels& k = detail::batch_kernels();
     std::size_t sp = 0;
     const Instr* code = code_.data();
@@ -265,14 +266,17 @@ void Compiled::eval_batch(const BatchEvalContext& ctx, double* out) const {
             throw EvalError("unknown function (no user-function table bound)");
           }
           const std::size_t argc = in.b;
-          call_args.resize(argc);
+          const double** call_args = inline_args;
+          if (argc > kInlineArgs) {
+            heap_args.resize(argc);
+            call_args = heap_args.data();
+          }
           sp -= argc;
           for (std::size_t i = 0; i < argc; ++i) {
             call_args[i] = stack + (sp + i) * width;
           }
-          ctx.functions->call_batch(in.a, call_args, call_out.data(), width);
-          std::memcpy(stack + sp * width, call_out.data(),
-                      width * sizeof(double));
+          ctx.functions->call_batch(in.a, {call_args, argc}, call_out, width);
+          std::memcpy(stack + sp * width, call_out, width * sizeof(double));
           ++sp;
           break;
         }

@@ -1,8 +1,8 @@
 // Walker behaviour on malformed control flow, run without the checker.
-// The cases go through the three walkers that follow a model's
-// control-flow edges at evaluation time: the simulator's interpreter,
-// the scalar analytic walker and the batched analytic walker (via
-// estimate_batch, which falls back to the scalar walker on divergence).
+// The cases go through the two walkers that follow a model's
+// control-flow edges at evaluation time: the simulator's interpreter and
+// the analytic walker, at one lane and over a lane block (via
+// estimate_batch, which re-runs each lane alone on any error).
 // Each pins the exact error text, or that the walk ends quietly, so a
 // change to how the walkers resolve edges cannot change a diagnostic.
 #include <gtest/gtest.h>
@@ -401,10 +401,11 @@ TEST(MalformedWalk, SubdiagramWithoutInitialNode) {
 }
 
 TEST(MalformedWalk, UnstructuredCycleHitsTheStepLimit) {
-  // Analytic walkers only: the simulator's coroutine walk nests a native
-  // frame per node until something suspends, and unoptimized builds do
-  // not turn that transfer into a tail call, so a million-step walk
-  // overflows the stack there before the limit trips.
+  // The analytic walker only (one lane and a lane block): the
+  // simulator's coroutine walk nests a native frame per node until
+  // something suspends, and unoptimized builds do not turn that transfer
+  // into a tail call, so a million-step walk overflows the stack there
+  // before the limit trips.
   uml::ModelBuilder mb("M");
   uml::DiagramBuilder d = mb.diagram("main");
   uml::NodeRef init = d.initial();

@@ -143,20 +143,6 @@ TEST(Stats, TimeWeightedMean) {
   EXPECT_DOUBLE_EQ(level.max(), 4.0);
 }
 
-TEST(Stats, HistogramBinsAndClamping) {
-  sim::Histogram histogram(0.0, 10.0, 5);
-  histogram.record(1.0);
-  histogram.record(3.0);
-  histogram.record(3.5);
-  histogram.record(-5.0);  // clamped to first bin
-  histogram.record(99.0);  // clamped to last bin
-  EXPECT_EQ(histogram.total(), 5u);
-  EXPECT_EQ(histogram.counts()[0], 2u);
-  EXPECT_EQ(histogram.counts()[1], 2u);
-  EXPECT_EQ(histogram.counts()[4], 1u);
-  EXPECT_FALSE(histogram.render().empty());
-}
-
 // --- RNG -------------------------------------------------------------------------
 
 TEST(Rng, DeterministicForSeed) {
